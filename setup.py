@@ -1,11 +1,9 @@
 """Build script for the optional compiled kernel extension.
 
 The package works without the extension: ``logladder._backend`` falls back
-to the pure-Python kernels at import time.  Set LOGLADDER_NO_EXT=1 to skip
-the compile step entirely.
+to the pure-Python kernels at import time, so a machine without a C
+compiler still installs.
 """
-
-import os
 
 from setuptools import Extension, setup
 from setuptools.command.build_ext import build_ext
@@ -29,22 +27,12 @@ class optional_build_ext(build_ext):
                   "using the pure-Python fallback")
 
 
-def extensions():
-    if os.environ.get("LOGLADDER_NO_EXT"):
-        return []
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        print("logladder: Cython not available; using the pure-Python fallback")
-        return []
-    ext = Extension(
-        "logladder._kernels",
-        ["src/logladder/_kernels.pyx"],
-        # -ffp-contract=off keeps the compiled kernels bit-identical to the
-        # pure-Python ones (no FMA contraction of a*b+c).
-        extra_compile_args=["-O2", "-ffp-contract=off"],
-    )
-    return cythonize([ext], language_level="3")
+kernels = Extension(
+    "logladder._kernels",
+    ["src/logladder/_kernels.c"],
+    # -ffp-contract=off keeps the compiled kernels bit-identical to the
+    # pure-Python ones (no FMA contraction of a*b+c).
+    extra_compile_args=["-O2", "-ffp-contract=off"],
+)
 
-
-setup(ext_modules=extensions(), cmdclass={"build_ext": optional_build_ext})
+setup(ext_modules=[kernels], cmdclass={"build_ext": optional_build_ext})

@@ -16,7 +16,13 @@ import sys
 from . import __version__
 from ._backend import backend_name
 from .arith import heron_sqrt
-from .engine import antilog_dyadic, convert_base, log_dyadic, log_product_check
+from .engine import (
+    _floor,
+    antilog_dyadic,
+    convert_base,
+    log_dyadic,
+    log_product_check,
+)
 from .errors import LogLadderError
 from .euler import discover_e, limit_sequence, riemann_ln, slope_log10, slope_log_p
 from .fmt import MAX_SIG_DIGITS, MIN_SIG_DIGITS, format_number
@@ -131,11 +137,9 @@ def _cmd_antilog(args) -> int:
     ladder = build_ladder(args.base, _resolve_depth(args))
     if args.table_level is not None:
         table = build_table(ladder, args.table_level)
-        c = int(args.x)
-        if c > args.x:
-            c -= 1
-        frac = args.x - c
-        looked, grid_error = lookup_antilog(table, frac)
+        c = _floor(args.x)
+        looked, grid_error = lookup_antilog(table, args.x - c)
+        # (1/P) * looked, not looked / P: the two round differently
         value = antilog_dyadic(float(c), ladder) * looked
         if args.json:
             _emit(json.dumps({"value": value, "table_value": looked,
@@ -213,8 +217,6 @@ def _cmd_table(args) -> int:
 
 def _cmd_mul(args) -> int:
     ladder = build_ladder(args.base, _resolve_depth(args))
-    x1 = log_dyadic(args.y1, ladder)
-    x2 = log_dyadic(args.y2, ladder)
     if args.via_table:
         table = build_table(ladder, args.level)
         estimate, detail = multiply_via_logs(args.y1, args.y2, table, ladder)
@@ -230,6 +232,8 @@ def _cmd_mul(args) -> int:
             "log_error_bound": detail.log_error_bound,
         }
     else:
+        x1 = log_dyadic(args.y1, ladder)
+        x2 = log_dyadic(args.y2, ladder)
         total = x1.value() + x2.value()
         estimate = antilog_dyadic(total, ladder)
         payload = {"estimate": estimate, "x1": x1.value(), "x2": x2.value(),

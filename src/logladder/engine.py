@@ -28,6 +28,16 @@ from .ladder import MAX_DEPTH, RootLadder
 MAX_CHARACTERISTIC = 400
 
 
+def _lowest_terms(k: int, n: int) -> tuple[int, int]:
+    """k / 2^n with trailing factor-2 pairs cancelled: k odd, or (0, 0)."""
+    if k == 0:
+        return 0, 0
+    while n > 0 and k % 2 == 0:
+        k //= 2
+        n -= 1
+    return k, n
+
+
 @dataclass(frozen=True)
 class DyadicExponent:
     """Exactly numerator / 2^level, stored in lowest terms.
@@ -44,13 +54,7 @@ class DyadicExponent:
         if not 0 <= self.level <= MAX_DEPTH:
             raise LevelOutOfRangeError(
                 f"dyadic level must be in [0, {MAX_DEPTH}], got {self.level!r}")
-        k, n = self.numerator, self.level
-        if k == 0:
-            n = 0
-        else:
-            while n > 0 and k % 2 == 0:
-                k //= 2
-                n -= 1
+        k, n = _lowest_terms(self.numerator, self.level)
         object.__setattr__(self, "numerator", k)
         object.__setattr__(self, "level", n)
 
@@ -91,6 +95,13 @@ def _floor(x: float) -> int:
     if c > x:
         c -= 1
     return c
+
+
+def _times_power(v: float, base: float, c: int) -> float:
+    """v scaled by the whole power base^c, for a characteristic of any sign."""
+    if c >= 0:
+        return int_pow(base, c) * v
+    return v / int_pow(base, -c)
 
 
 def log_dyadic(y: float, ladder: RootLadder) -> LogValue:
@@ -146,9 +157,7 @@ def antilog_dyadic(x: "LogValue | float", ladder: RootLadder) -> float:
             c += 1
             k = 0
     v = kernels.mantissa_product(k, level, ladder.rungs)
-    if c >= 0:
-        return int_pow(ladder.base, c) * v
-    return v / int_pow(ladder.base, -c)
+    return _times_power(v, ladder.base, c)
 
 
 def convert_base(x: LogValue, new_base: float, ladder_q: RootLadder) -> float:

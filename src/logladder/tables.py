@@ -15,8 +15,7 @@ import json
 from dataclasses import dataclass
 
 from ._backend import kernels
-from .arith import int_pow
-from .engine import LogValue, _floor, log_dyadic
+from .engine import LogValue, _floor, _lowest_terms, _times_power, log_dyadic
 from .errors import LevelOutOfRangeError, OutOfRangeError
 from .ladder import RootLadder
 
@@ -25,11 +24,7 @@ MAX_TABLE_LEVEL = 16
 
 def _dyadic_decimal(k: int, n: int) -> str:
     """Exact decimal string for k / 2^n (powers of two divide powers of ten)."""
-    if k == 0:
-        return "0"
-    while n > 0 and k % 2 == 0:
-        k //= 2
-        n -= 1
+    k, n = _lowest_terms(k, n)
     if n == 0:
         return str(k)
     p = 1
@@ -156,10 +151,7 @@ def multiply_via_logs(y1: float, y2: float, table: LogTable,
     c = _floor(log_sum)
     mantissa = log_sum - c
     value, grid_error = lookup_antilog(table, mantissa)
-    if c >= 0:
-        estimate = int_pow(ladder.base, c) * value
-    else:
-        estimate = value / int_pow(ladder.base, -c)
+    estimate = _times_power(value, ladder.base, c)
     detail = MultiplyDetail(
         x1=x1, x2=x2, log_sum=log_sum, characteristic=c, mantissa=mantissa,
         table_value=value, grid_error=grid_error,

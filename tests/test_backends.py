@@ -1,6 +1,7 @@
 """The compiled and pure-Python kernels must agree bit for bit."""
 
 import random
+import struct
 
 import pytest
 
@@ -8,7 +9,42 @@ from logladder import _kernels_py
 from logladder._backend import backend_name, kernels
 
 compiled = pytest.importorskip(
-    "logladder._kernels", reason="compiled kernels not built")
+    "logladder._kernels",
+    reason="compiled kernels not built; run python setup.py build_ext --inplace")
+
+# Edges of binary64 and of the C digit count (exact below 2^64, by the
+# decimal string above it).
+EDGES = (5e-324, 2.2250738585072014e-308, 0.5, 1.0, 9.999999999999998, 10.0,
+         2.0 ** 63, 2.0 ** 64 - 2048.0, 2.0 ** 64, 1e300,
+         1.7976931348623157e308)
+
+BASES = (1.5, 10.0, 1e300)
+
+
+def _bits(value):
+    """Exact comparison form: floats by their bits, containers by type."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (list, tuple)):
+        return type(value), [_bits(v) for v in value]
+    return type(value), value
+
+
+def _agree(name, *args):
+    ours = getattr(compiled, name)(*args)
+    theirs = getattr(_kernels_py, name)(*args)
+    assert _bits(ours) == _bits(theirs), (name, args)
+
+
+def _anywhere(rng, n):
+    """n positive finite doubles, subnormals up to 1.7e308, plus the edges."""
+    top = struct.unpack("<Q", struct.pack("<d", float("inf")))[0]
+    return [struct.unpack("<d", struct.pack("<Q", rng.randrange(1, top)))[0]
+            for _ in range(n)] + list(EDGES)
+
+
+def _rungs(base, depth):
+    return tuple(_kernels_py.ladder_rungs(base, depth, 1e-13, 64)[0])
 
 
 def test_active_backend_reports_a_known_name():
@@ -18,64 +54,68 @@ def test_active_backend_reports_a_known_name():
 
 def test_default_guess_identical():
     rng = random.Random(1)
-    for _ in range(500):
-        x = 10.0 ** rng.uniform(-8.0, 15.0)
-        assert compiled.default_guess(x) == _kernels_py.default_guess(x)
+    for x in [10.0 ** rng.uniform(-8.0, 15.0) for _ in range(500)] + \
+            _anywhere(rng, 500):
+        _agree("default_guess", x)
 
 
 def test_heron_pairs_identical():
     rng = random.Random(2)
-    for _ in range(300):
-        x = 10.0 ** rng.uniform(-6.0, 12.0)
-        a = compiled.heron_pairs(x, compiled.default_guess(x), 1e-13, 64)
-        b = _kernels_py.heron_pairs(x, _kernels_py.default_guess(x), 1e-13, 64)
-        assert a == b
+    for x in [10.0 ** rng.uniform(-6.0, 12.0) for _ in range(300)] + \
+            _anywhere(rng, 300):
+        _agree("heron_pairs", x, _kernels_py.default_guess(x), 1e-13, 64)
 
 
 def test_ladder_rungs_identical():
     for base in (2.0, 3.0, 10.0, 97.5):
-        a = compiled.ladder_rungs(base, 40, 1e-13, 64)
-        b = _kernels_py.ladder_rungs(base, 40, 1e-13, 64)
-        assert a == b
+        _agree("ladder_rungs", base, 40, 1e-13, 64)
+    for base in BASES:
+        for depth in (0, 48):
+            _agree("ladder_rungs", base, depth, 1e-13, 64)
 
 
 def test_log_split_identical():
-    rungs = tuple(_kernels_py.ladder_rungs(10.0, 40, 1e-13, 64)[0])
     rng = random.Random(3)
+    rungs = _rungs(10.0, 40)
     for _ in range(300):
-        y = 10.0 ** rng.uniform(-8.0, 8.0)
-        assert compiled.log_split(y, 10.0, rungs) == \
-            _kernels_py.log_split(y, 10.0, rungs)
+        _agree("log_split", 10.0 ** rng.uniform(-8.0, 8.0), 10.0, rungs)
+    for base in BASES:
+        for depth in (0, 40, 48):
+            rungs = _rungs(base, depth)
+            for y in _anywhere(rng, 100):
+                _agree("log_split", y, base, rungs)
 
 
 def test_mantissa_product_identical():
-    rungs = tuple(_kernels_py.ladder_rungs(10.0, 40, 1e-13, 64)[0])
     rng = random.Random(4)
+    rungs = _rungs(10.0, 40)
     for _ in range(300):
-        k = rng.getrandbits(40)
-        assert compiled.mantissa_product(k, 40, rungs) == \
-            _kernels_py.mantissa_product(k, 40, rungs)
+        _agree("mantissa_product", rng.getrandbits(40), 40, rungs)
+    for base in BASES:
+        rungs = _rungs(base, 48)
+        for level in (0, 40, 48):
+            for _ in range(100):
+                _agree("mantissa_product", rng.getrandbits(level), level, rungs)
 
 
 def test_int_pow_identical():
     rng = random.Random(5)
     for _ in range(300):
-        b = rng.uniform(-10.0, 10.0)
-        m = rng.randrange(0, 300)
-        assert compiled.int_pow(b, m) == _kernels_py.int_pow(b, m)
+        _agree("int_pow", rng.uniform(-10.0, 10.0), rng.randrange(0, 300))
+    for _ in range(300):
+        _agree("int_pow", rng.uniform(-1.5, 1.5), rng.randrange(0, 2001))
 
 
 def test_table_values_identical():
-    rungs = tuple(_kernels_py.ladder_rungs(10.0, 40, 1e-13, 64)[0])
-    for level in (0, 1, 3, 8, 13):
-        assert compiled.table_values(rungs, level) == \
-            _kernels_py.table_values(rungs, level)
+    for rungs in [_rungs(10.0, 40)] + [_rungs(base, 48) for base in BASES]:
+        for level in (0, 1, 3, 8, 13):
+            _agree("table_values", rungs, level)
 
 
 def test_trapezoid_identical():
     rng = random.Random(6)
     for _ in range(50):
-        x = rng.uniform(1.0, 50.0)
-        steps = rng.randrange(16, 5000)
-        assert compiled.trapezoid_recip(x, steps) == \
-            _kernels_py.trapezoid_recip(x, steps)
+        _agree("trapezoid_recip", rng.uniform(1.0, 50.0),
+               rng.randrange(16, 5000))
+    for x in _anywhere(rng, 50):
+        _agree("trapezoid_recip", x, rng.randrange(16, 500))

@@ -52,11 +52,16 @@ class TestAudit:
             "def int_pow(b, m):\n    return int_pow(b, m - 1) * b\n")
         assert audit_no_intrinsics(tmp_path) == []
 
-    def test_pyx_sources_are_scanned(self, tmp_path):
-        (tmp_path / "fast.pyx").write_text(
-            "from libc.math cimport sqrt\n")
+    def test_c_sources_are_scanned(self, tmp_path):
+        (tmp_path / "fast.c").write_text(
+            "#include <math.h>\n"
+            "static double root(double x) { return sqrt(x); }\n"
+            "static double *rows(PyObject **items);\n")
         violations = audit_no_intrinsics(tmp_path)
-        assert violations and violations[0].reason == "libm cimport"
+        assert [(v.line, v.reason) for v in violations] == [
+            (1, "C math header"),
+            (2, "libm call"),
+        ]
 
     def test_missing_root_raises(self, tmp_path):
         with pytest.raises(OSError):

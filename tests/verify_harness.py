@@ -132,35 +132,48 @@ class Violation:
 _FORBIDDEN = (
     (re.compile(r"^\s*(?:import|from)\s+(?:math|cmath|numpy)\b"),
      "imports host math"),
+    (re.compile(r"[<\"](?:math|cmath)\.h[>\"]"), "C math header"),
     (re.compile(r"\b(?:math|cmath|numpy|np)\s*\.\s*\w+"),
      "host math attribute"),
     (re.compile(r"(?<![\w.])pow\s*\("), "builtin pow()"),
-    (re.compile(r"[\w\)\]]\s*\*\*"), "power operator"),
     (re.compile(r"\blibc\s*\.\s*math\b"), "libm cimport"),
-    (re.compile(r"[<\"](?:math|cmath)\.h[>\"]"), "C math header"),
     (re.compile(r"\.\s*(?:sqrt|cbrt|exp|expm1|exp2|log|log1p|log2|log10"
                 r"|hypot|pow)\s*\("),
      "transcendental method call"),
 )
+
+# Rules for one language only, by file suffix.  ``**`` is Python's power
+# operator but a pointer to a pointer in C; a bare call is how C reaches
+# libm, while in Python prose such as "log(y)" the import rule suffices.
+_FORBIDDEN_BY_SUFFIX = {
+    ".py": (
+        (re.compile(r"[\w\)\]]\s*\*\*"), "power operator"),
+    ),
+    ".c": (
+        (re.compile(r"\b(?:sqrt|cbrt|exp|expm1|exp2|log|log1p|log2|log10"
+                    r"|hypot|pow|fabs)[fl]?\s*\("),
+         "libm call"),
+    ),
+}
 
 
 def audit_no_intrinsics(source_root=SRC_ROOT) -> list[Violation]:
     """Scan non-test sources for square-root/exp/log/pow intrinsics.
 
     Returns every offending line; an empty list means the tree honors the
-    arithmetic-only rule.  Only .py and .pyx files are scanned (generated
-    C is a build artifact of the audited .pyx).
+    arithmetic-only rule.  The .py and .c files are scanned.
     """
     root = pathlib.Path(source_root)
     if not root.exists():
         raise OSError(f"source root {root} does not exist")
     violations = []
     for path in sorted(root.rglob("*")):
-        if path.suffix not in (".py", ".pyx"):
+        if path.suffix not in _FORBIDDEN_BY_SUFFIX:
             continue
+        rules = _FORBIDDEN + _FORBIDDEN_BY_SUFFIX[path.suffix]
         for lineno, line in enumerate(
                 path.read_text(encoding="utf-8").splitlines(), start=1):
-            for pattern, reason in _FORBIDDEN:
+            for pattern, reason in rules:
                 if pattern.search(line):
                     violations.append(Violation(
                         path=str(path), line=lineno, reason=reason,
