@@ -7,13 +7,22 @@ Run from the repository root after installing the package:
 Every workload feeds both backends identical inputs; besides timing, the
 outputs are cross-checked for exact equality, so this doubles as a
 bit-identity smoke test on realistic data.
+
+The first row, printed whether or not the kernels are built, is the
+CLI's start-up cost: the median wall time of 15 ``python -c pass``
+processes next to 15 ``python -c "import logladder.cli"`` processes,
+run alternately with the imported package's directory on PYTHONPATH.
 """
 
 import argparse
+import os
 import random
+import statistics
+import subprocess
 import sys
 import time
 
+import logladder
 from logladder import _kernels_py
 
 try:
@@ -30,6 +39,28 @@ def _timed(fn, repeat):
         result = fn()
         best = min(best, time.perf_counter() - start)
     return best, result
+
+
+STARTUP_RUNS = 15
+
+
+def _process_seconds(code, env):
+    start = time.perf_counter()
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    return time.perf_counter() - start
+
+
+def startup_seconds():
+    """Median seconds of a bare interpreter and of one importing the CLI."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(logladder.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    bare, cli = [], []
+    for _ in range(STARTUP_RUNS):
+        bare.append(_process_seconds("pass", env))
+        cli.append(_process_seconds("import logladder.cli", env))
+    return statistics.median(bare), statistics.median(cli)
 
 
 def workloads():
@@ -76,6 +107,12 @@ def main(argv=None) -> int:
     parser.add_argument("--repeat", type=int, default=3,
                         help="timing repetitions, best-of (default 3)")
     args = parser.parse_args(argv)
+
+    bare, cli = startup_seconds()
+    print(f"{'start-up':<24} {'bare':>10} {'cli':>10} {'import':>8}")
+    print(f"{'median of ' + str(STARTUP_RUNS) + ' processes':<24} "
+          f"{bare * 1e3:>8.1f}ms {cli * 1e3:>8.1f}ms "
+          f"{(cli - bare) * 1e3:>6.1f}ms\n")
 
     if _kernels is None:
         print("compiled kernels are not built; nothing to compare "

@@ -6,9 +6,8 @@ routine keeps its full iteration history so callers can display or audit
 the convergence.
 """
 
-from dataclasses import dataclass
-
 from ._backend import kernels
+from ._record import Record, set_field
 from .errors import NoConvergenceError, NonPositiveInputError
 
 DEFAULT_REL_TOL = 1e-13
@@ -20,8 +19,7 @@ def is_finite(v: float) -> bool:
     return v - v == 0.0
 
 
-@dataclass(frozen=True)
-class SqrtTrace:
+class SqrtTrace(Record):
     """Full history of one square-root computation.
 
     ``iterations`` holds the visited (x_k, y_k) pairs with y_k = input/x_k;
@@ -29,12 +27,18 @@ class SqrtTrace:
     mean of the last recorded pair.
     """
 
-    input: float
-    initial_guess: float
-    iterations: tuple[tuple[float, float], ...]
-    result: float
-    converged: bool
-    steps_used: int
+    __slots__ = ("input", "initial_guess", "iterations", "result",
+                 "converged", "steps_used")
+
+    def __init__(self, input: float, initial_guess: float,
+                 iterations: tuple[tuple[float, float], ...], result: float,
+                 converged: bool, steps_used: int):
+        set_field(self, "input", input)
+        set_field(self, "initial_guess", initial_guess)
+        set_field(self, "iterations", iterations)
+        set_field(self, "result", result)
+        set_field(self, "converged", converged)
+        set_field(self, "steps_used", steps_used)
 
 
 def default_guess(x: float) -> float:

@@ -9,7 +9,6 @@ MELTDOWN_LOG_DEPTH environment variable or per-command ``--depth``.
 """
 
 import argparse
-import json
 import os
 import sys
 
@@ -89,6 +88,11 @@ def _emit(line: str) -> None:
     sys.stdout.write(line + "\n")
 
 
+def _emit_json(payload) -> None:
+    import json  # loaded only here: plain-text output never needs it
+    _emit(json.dumps(payload))
+
+
 # ---------------------------------------------------------------- sqrt
 
 def _cmd_sqrt(args) -> int:
@@ -96,14 +100,14 @@ def _cmd_sqrt(args) -> int:
                        max_iterations=args.max_iter,
                        initial_guess=args.guess)
     if args.json:
-        _emit(json.dumps({
+        _emit_json({
             "input": trace.input,
             "initial_guess": trace.initial_guess,
             "iterations": [list(p) for p in trace.iterations],
             "result": trace.result,
             "converged": trace.converged,
             "steps_used": trace.steps_used,
-        }))
+        })
         return 0
     if args.trace:
         _emit("k x_k y_k")
@@ -120,14 +124,14 @@ def _cmd_log(args) -> int:
     ladder = build_ladder(args.base, _resolve_depth(args))
     lv = log_dyadic(args.y, ladder)
     if args.json:
-        _emit(json.dumps({
+        _emit_json({
             "base": lv.base,
             "characteristic": lv.characteristic,
             "mantissa_numerator": lv.mantissa_exponent.numerator,
             "mantissa_level": lv.mantissa_exponent.level,
             "value": lv.value(),
             "error_bound": lv.error_bound,
-        }))
+        })
         return 0
     _emit(format_number(lv.value(), args.digits))
     return 0
@@ -142,14 +146,14 @@ def _cmd_antilog(args) -> int:
         # (1/P) * looked, not looked / P: the two round differently
         value = antilog_dyadic(float(c), ladder) * looked
         if args.json:
-            _emit(json.dumps({"value": value, "table_value": looked,
-                              "characteristic": c, "grid_error": grid_error}))
+            _emit_json({"value": value, "table_value": looked,
+                        "characteristic": c, "grid_error": grid_error})
             return 0
         _emit(format_number(value, args.digits))
         return 0
     value = antilog_dyadic(args.x, ladder)
     if args.json:
-        _emit(json.dumps({"value": value}))
+        _emit_json({"value": value})
         return 0
     _emit(format_number(value, args.digits))
     return 0
@@ -160,8 +164,8 @@ def _cmd_convert_base(args) -> int:
     lv = log_dyadic(args.y, ladder)
     value = convert_base(lv, args.to, ladder)
     if args.json:
-        _emit(json.dumps({"value": value, "from_base": args.from_base,
-                          "to_base": args.to, "source_log": lv.value()}))
+        _emit_json({"value": value, "from_base": args.from_base,
+                    "to_base": args.to, "source_log": lv.value()})
         return 0
     _emit(format_number(value, args.digits))
     return 0
@@ -243,7 +247,7 @@ def _cmd_mul(args) -> int:
         payload["product_log"] = lhs
         payload["sum_of_logs"] = rhs
     if args.json:
-        _emit(json.dumps(payload))
+        _emit_json(payload)
         return 0
     for key, value in payload.items():
         if isinstance(value, int):
@@ -267,15 +271,15 @@ def _cmd_discover_e(args) -> int:
         else:
             value = slope_log10(args.tangent_at, args.level, ladder).slope
         if args.json:
-            _emit(json.dumps({"slope": value, "x": args.tangent_at,
-                              "level": args.level}))
+            _emit_json({"slope": value, "x": args.tangent_at,
+                        "level": args.level})
             return 0
         _emit(format_number(value, args.digits))
         return 0
     if args.sequence:
         seq = limit_sequence(args.level, ladder)
         if args.json:
-            _emit(json.dumps({"sequence": [[n, t] for n, t in seq]}))
+            _emit_json({"sequence": [[n, t] for n, t in seq]})
             return 0
         _emit("n t_n")
         for n, t in seq:
@@ -283,7 +287,7 @@ def _cmd_discover_e(args) -> int:
         return 0
     e_value = discover_e(args.level, ladder)
     if args.json:
-        _emit(json.dumps({"e": e_value, "level": args.level}))
+        _emit_json({"e": e_value, "level": args.level})
         return 0
     _emit(format_number(e_value, args.digits))
     return 0
@@ -292,7 +296,7 @@ def _cmd_discover_e(args) -> int:
 def _cmd_area_ln(args) -> int:
     value = riemann_ln(args.x, args.steps)
     if args.json:
-        _emit(json.dumps({"value": value, "steps": args.steps}))
+        _emit_json({"value": value, "steps": args.steps})
         return 0
     _emit(format_number(value, args.digits))
     return 0

@@ -10,9 +10,8 @@ The antilog runs the same ladder in reverse: multiply together the rungs
 named by the exponent's bits.
 """
 
-from dataclasses import dataclass
-
 from ._backend import kernels
+from ._record import Record, set_field
 from .arith import int_pow, is_finite
 from .errors import (
     BadBaseError,
@@ -29,17 +28,18 @@ MAX_CHARACTERISTIC = 400
 
 
 def _lowest_terms(k: int, n: int) -> tuple[int, int]:
-    """k / 2^n with trailing factor-2 pairs cancelled: k odd, or (0, 0)."""
+    """k / 2^n (n >= 0) with trailing factor-2 pairs cancelled: k odd, or (0, 0).
+
+    k & -k isolates the lowest set bit of k (negative k included), so its
+    position is the count of factors of 2 that k holds.
+    """
     if k == 0:
         return 0, 0
-    while n > 0 and k % 2 == 0:
-        k //= 2
-        n -= 1
-    return k, n
+    shift = min((k & -k).bit_length() - 1, n)
+    return k >> shift, n - shift
 
 
-@dataclass(frozen=True)
-class DyadicExponent:
+class DyadicExponent(Record):
     """Exactly numerator / 2^level, stored in lowest terms.
 
     Construction reduces trailing factor-2 pairs, so the numerator is odd
@@ -47,44 +47,44 @@ class DyadicExponent:
     exact float conversion both follow from that canonical form.
     """
 
-    numerator: int
-    level: int
+    __slots__ = ("numerator", "level")
 
-    def __post_init__(self):
-        if not 0 <= self.level <= MAX_DEPTH:
+    def __init__(self, numerator: int, level: int):
+        if not 0 <= level <= MAX_DEPTH:
             raise LevelOutOfRangeError(
-                f"dyadic level must be in [0, {MAX_DEPTH}], got {self.level!r}")
-        k, n = _lowest_terms(self.numerator, self.level)
-        object.__setattr__(self, "numerator", k)
-        object.__setattr__(self, "level", n)
+                f"dyadic level must be in [0, {MAX_DEPTH}], got {level!r}")
+        numerator, level = _lowest_terms(numerator, level)
+        set_field(self, "numerator", numerator)
+        set_field(self, "level", level)
 
     def value(self) -> float:
         """Exact float value (division by a power of two is exact)."""
         return self.numerator / float(1 << self.level)
 
 
-@dataclass(frozen=True)
-class LogValue:
+class LogValue(Record):
     """A computed logarithm: characteristic + dyadic mantissa exponent.
 
     ``value()`` is characteristic + mantissa; the true log of the input
     that produced this lies within ``error_bound`` above it.
     """
 
-    base: float
-    characteristic: int
-    mantissa_exponent: DyadicExponent
-    error_bound: float
+    __slots__ = ("base", "characteristic", "mantissa_exponent", "error_bound")
 
-    def __post_init__(self):
-        m = self.mantissa_exponent.value()
-        if not 0.0 <= m < 1.0:
+    def __init__(self, base: float, characteristic: int,
+                 mantissa_exponent: DyadicExponent, error_bound: float):
+        level = mantissa_exponent.level
+        if not 0 <= mantissa_exponent.numerator < 1 << level:
             raise LevelOutOfRangeError(
-                f"mantissa exponent must lie in [0, 1), got {m!r}")
-        if not 0.0 < self.error_bound <= 1.0 / (1 << self.mantissa_exponent.level):
+                "mantissa exponent must lie in [0, 1), "
+                f"got {mantissa_exponent.value()!r}")
+        if not 0.0 < error_bound <= 1.0 / (1 << level):
             raise LevelOutOfRangeError(
-                f"error bound {self.error_bound!r} inconsistent with level "
-                f"{self.mantissa_exponent.level}")
+                f"error bound {error_bound!r} inconsistent with level {level}")
+        set_field(self, "base", base)
+        set_field(self, "characteristic", characteristic)
+        set_field(self, "mantissa_exponent", mantissa_exponent)
+        set_field(self, "error_bound", error_bound)
 
     def value(self) -> float:
         return self.characteristic + self.mantissa_exponent.value()

@@ -10,9 +10,8 @@ ln(x) is also the area under 1/t from 1 to x; ``riemann_ln`` checks that
 numerically with nothing but arithmetic.
 """
 
-from dataclasses import dataclass
-
 from ._backend import kernels
+from ._record import Record, set_field
 from .arith import is_finite
 from .engine import antilog_dyadic, log_dyadic
 from .errors import (
@@ -28,19 +27,22 @@ MIN_SLOPE_LEVEL = 4
 MIN_E_LEVEL = 10
 
 
-@dataclass(frozen=True)
-class SlopeEstimate:
+class SlopeEstimate(Record):
     """One finite-difference reading of the log10 curve's slope at x.
 
     epsilon is x * (rungs[n] - 1), so 1 + epsilon/x is exactly the rung
     and the rise over the step is exactly 2^-n; slope is their ratio.
     """
 
-    base: float
-    x: float
-    ladder_level: int
-    epsilon: float
-    slope: float
+    __slots__ = ("base", "x", "ladder_level", "epsilon", "slope")
+
+    def __init__(self, base: float, x: float, ladder_level: int,
+                 epsilon: float, slope: float):
+        set_field(self, "base", base)
+        set_field(self, "x", x)
+        set_field(self, "ladder_level", ladder_level)
+        set_field(self, "epsilon", epsilon)
+        set_field(self, "slope", slope)
 
 
 def _check_level(n: int, ladder: RootLadder, minimum: int) -> None:

@@ -4,9 +4,8 @@ A ladder is built once, eagerly, and never mutated; it is the shared
 skeleton under the log engine, the slope estimates and the antilog tables.
 """
 
-from dataclasses import dataclass
-
 from ._backend import kernels
+from ._record import Record, set_field
 from .arith import DEFAULT_MAX_ITERATIONS, DEFAULT_REL_TOL, is_finite
 from .errors import BadBaseError, DepthOutOfRangeError, IndexOutOfRangeError
 
@@ -16,8 +15,7 @@ MAX_DEPTH = 48
 DEFAULT_DEPTH = 40
 
 
-@dataclass(frozen=True)
-class RootLadder:
+class RootLadder(Record):
     """Immutable cache of repeated square roots of one base.
 
     rungs[0] is the base itself and rungs[j+1] is the square root of
@@ -25,10 +23,14 @@ class RootLadder:
     toward 1.
     """
 
-    base: float
-    depth: int
-    rungs: tuple[float, ...]
-    rel_tol_used: float
+    __slots__ = ("base", "depth", "rungs", "rel_tol_used")
+
+    def __init__(self, base: float, depth: int, rungs: tuple[float, ...],
+                 rel_tol_used: float):
+        set_field(self, "base", base)
+        set_field(self, "depth", depth)
+        set_field(self, "rungs", rungs)
+        set_field(self, "rel_tol_used", rel_tol_used)
 
 
 def build_ladder(base: float, depth: int,

@@ -4,8 +4,7 @@ Digits are stored most significant first, the way numerals are written.
 Rendering uses 0-9 then A-Z, so base 16 looks like ordinary hex.
 """
 
-from dataclasses import dataclass
-
+from ._record import Record, set_field
 from .errors import BadRadixError, DigitOutOfRangeError, OutOfRangeError
 
 MIN_BASE = 2
@@ -20,8 +19,7 @@ def _check_base(base: int) -> None:
             f"base must be an integer in [{MIN_BASE}, {MAX_BASE}], got {base!r}")
 
 
-@dataclass(frozen=True)
-class RadixNumeral:
+class RadixNumeral(Record):
     """Digit sequence in a fixed base, most significant digit first.
 
     Zero is the single digit [0]; any other numeral has no leading zero.
@@ -30,19 +28,20 @@ class RadixNumeral:
     '120'
     """
 
-    base: int
-    digits: tuple[int, ...]
+    __slots__ = ("base", "digits")
 
-    def __post_init__(self):
-        _check_base(self.base)
-        if len(self.digits) == 0:
+    def __init__(self, base: int, digits: tuple[int, ...]):
+        _check_base(base)
+        if len(digits) == 0:
             raise DigitOutOfRangeError("numeral needs at least one digit")
-        for d in self.digits:
-            if not isinstance(d, int) or not 0 <= d < self.base:
+        for d in digits:
+            if not isinstance(d, int) or not 0 <= d < base:
                 raise DigitOutOfRangeError(
-                    f"digit {d!r} out of range for base {self.base}")
-        if len(self.digits) > 1 and self.digits[0] == 0:
+                    f"digit {d!r} out of range for base {base}")
+        if len(digits) > 1 and digits[0] == 0:
             raise DigitOutOfRangeError("leading zero digit")
+        set_field(self, "base", base)
+        set_field(self, "digits", digits)
 
     def __str__(self) -> str:
         return "".join(DIGIT_ALPHABET[d] for d in self.digits)

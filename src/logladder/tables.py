@@ -11,10 +11,8 @@ lookup workflow and for export, so their level is capped at 16 (65,536
 entries).
 """
 
-import json
-from dataclasses import dataclass
-
 from ._backend import kernels
+from ._record import Record, set_field
 from .engine import LogValue, _floor, _lowest_terms, _times_power, log_dyadic
 from .errors import LevelOutOfRangeError, OutOfRangeError
 from .ladder import RootLadder
@@ -34,18 +32,21 @@ def _dyadic_decimal(k: int, n: int) -> str:
     return digits[:-n] + "." + digits[-n:]
 
 
-@dataclass(frozen=True)
-class LogTable:
+class LogTable(Record):
     """Immutable antilog table: values[k] = base^(k / 2^level).
 
     ``built_from`` records the depth of the ladder the products came from.
     Values increase strictly with k and all lie in [1, base).
     """
 
-    base: float
-    level: int
-    values: tuple[float, ...]
-    built_from: int
+    __slots__ = ("base", "level", "values", "built_from")
+
+    def __init__(self, base: float, level: int, values: tuple[float, ...],
+                 built_from: int):
+        set_field(self, "base", base)
+        set_field(self, "level", level)
+        set_field(self, "values", values)
+        set_field(self, "built_from", built_from)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -67,6 +68,7 @@ class LogTable:
 
     def to_json(self) -> str:
         """JSON mirror of the table fields."""
+        import json  # loaded only here: CSV and gnuplot output never need it
         return json.dumps({
             "base": self.base,
             "level": self.level,
@@ -117,8 +119,7 @@ def lookup_antilog(table: LogTable, mantissa: float) -> tuple[float, float]:
     return table.values[k], grid_error
 
 
-@dataclass(frozen=True)
-class MultiplyDetail:
+class MultiplyDetail(Record):
     """Worked record of one multiplication through the table.
 
     ``log_sum`` is x1 + x2, split exactly into characteristic + mantissa;
@@ -126,14 +127,20 @@ class MultiplyDetail:
     grid error, all in log units of the table base.
     """
 
-    x1: LogValue
-    x2: LogValue
-    log_sum: float
-    characteristic: int
-    mantissa: float
-    table_value: float
-    grid_error: float
-    log_error_bound: float
+    __slots__ = ("x1", "x2", "log_sum", "characteristic", "mantissa",
+                 "table_value", "grid_error", "log_error_bound")
+
+    def __init__(self, x1: LogValue, x2: LogValue, log_sum: float,
+                 characteristic: int, mantissa: float, table_value: float,
+                 grid_error: float, log_error_bound: float):
+        set_field(self, "x1", x1)
+        set_field(self, "x2", x2)
+        set_field(self, "log_sum", log_sum)
+        set_field(self, "characteristic", characteristic)
+        set_field(self, "mantissa", mantissa)
+        set_field(self, "table_value", table_value)
+        set_field(self, "grid_error", grid_error)
+        set_field(self, "log_error_bound", log_error_bound)
 
 
 def multiply_via_logs(y1: float, y2: float, table: LogTable,

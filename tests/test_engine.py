@@ -15,12 +15,23 @@ from logladder import (
     log_product_check,
 )
 from logladder._backend import kernels
+from logladder.engine import _lowest_terms
 from logladder.errors import (
     BadBaseError,
     DepthMismatchError,
     LevelOutOfRangeError,
     NonPositiveInputError,
 )
+
+
+def _halving_lowest_terms(k, n):
+    """The reference reduction: halve k while it is even and n > 0."""
+    if k == 0:
+        return 0, 0
+    while n > 0 and k % 2 == 0:
+        k //= 2
+        n -= 1
+    return k, n
 
 
 class TestDyadicExponent:
@@ -42,6 +53,13 @@ class TestDyadicExponent:
     def test_level_cap(self):
         with pytest.raises(LevelOutOfRangeError):
             DyadicExponent(1, 49)
+
+    @given(st.integers(min_value=-(1 << 60), max_value=1 << 60),
+           st.integers(min_value=0, max_value=80),
+           st.integers(min_value=0, max_value=100))
+    def test_lowest_terms_matches_halving_loop(self, m, shift, n):
+        k = m << shift  # many trailing zeros, so the reduction has work
+        assert _lowest_terms(k, n) == _halving_lowest_terms(k, n)
 
 
 class TestLogDyadic:
