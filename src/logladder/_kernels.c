@@ -1,9 +1,10 @@
 /* Compiled kernels: the C twin of ``_kernels_py``.
  *
  * Every function performs the same float operations in the same order as
- * its pure-Python twin and returns the same types (lists stay lists, tuples
- * stay tuples), so the two backends agree bit for bit.  setup.py builds this
- * file with -ffp-contract=off, which forbids fusing a*b+c into one rounding.
+ * its pure-Python twin and returns the same types (the iterate and rung
+ * lists are lists, table_values returns a tuple), so the two backends agree
+ * bit for bit.  setup.py builds this file with -ffp-contract=off, which
+ * forbids fusing a*b+c into one rounding.
  *
  * Arithmetic-only: no math header and no libm call; an absolute value is a
  * compare.  Arguments are positional only.  Where the Python twin raises
@@ -114,8 +115,11 @@ guess_for(double x, double *g)
 {
     int d;
     *g = 1.0;
-    if (x < 1.0)
+    if (x < 1.0) {
+        for (; 0.0 < x && x < 0.01; x *= 100.0)
+            *g /= 10.0;
         return 0;
+    }
     if (digit_count(x, &d) < 0)
         return -1;
     for (int i = 0; i < d / 2; i++)
@@ -331,6 +335,10 @@ int_pow(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     return PyFloat_FromDouble(r);
 }
 
+/* Row k is row[k & (k - 1)] times rung level - tz(k), tz(k) being the
+ * trailing zero bits of k: clearing the lowest set bit drops the last
+ * factor of the direct product, so every row keeps its factors, their
+ * order and its bits.  The earlier row is read back from the tuple. */
 static PyObject *
 table_values(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -357,20 +365,24 @@ table_values(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     }
     Py_DECREF(seq);
     Py_ssize_t n = (Py_ssize_t)1 << level;
-    PyObject *out = PyList_New(n);
+    PyObject *out = PyTuple_New(n);
     if (out == NULL)
         return NULL;
     for (Py_ssize_t k = 0; k < n; k++) {
         double v = 1.0;
-        for (long long j = 1; j <= level; j++)
-            if ((k >> (level - j)) & 1)
-                v *= ladder[j];
+        if (k) {
+            int tz = 0;
+            while (!((k >> tz) & 1))
+                tz++;
+            v = PyFloat_AS_DOUBLE(PyTuple_GET_ITEM(out, k & (k - 1)))
+                * ladder[level - tz];
+        }
         PyObject *item = PyFloat_FromDouble(v);
         if (item == NULL) {
             Py_DECREF(out);
             return NULL;
         }
-        PyList_SET_ITEM(out, k, item);
+        PyTuple_SET_ITEM(out, k, item);
     }
     return out;
 }

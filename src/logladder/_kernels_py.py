@@ -14,13 +14,21 @@ def default_guess(x):
     """Starting point for the square-root iteration.
 
     The root of a d-digit number has about d/2 digits, so for x >= 1 the
-    guess is 10 raised to floor(d / 2), built by repeated multiplication;
-    for x < 1 the guess is 1.  Always lands within roughly one order of
-    magnitude of the root (and the iteration converges from any positive
-    start anyway); x = 1 starts exactly on its own root.
+    guess is 10 raised to floor(d / 2), built by repeated multiplication.
+    Below 1 the same rule runs on the leading zeros: while a copy of x is
+    below 0.01 it is multiplied by 100 and the guess, starting at 1, is
+    divided by 10.  So x in [0.01, 1) starts at 1, 1e-36 at 1e-18, and
+    x <= 0, which has no root, at 1.  The guess lands within roughly one
+    order of magnitude of the root over the whole positive float range,
+    subnormals included, so the iteration needs only a few steps; x = 1
+    starts exactly on its own root.
     """
     if x < 1.0:
-        return 1.0
+        g = 1.0
+        while 0.0 < x < 0.01:
+            x *= 100.0
+            g /= 10.0
+        return g
     n = int(x)
     d = 0
     while n:
@@ -124,20 +132,22 @@ def int_pow(b, m):
 
 
 def table_values(rungs, level):
-    """Antilog values base^(k/2^level) for every k in [0, 2^level).
+    """Antilog values base^(k/2^level) for every k in [0, 2^level), as a tuple.
 
-    Each entry is the direct product of the rungs picked out by the bits
-    of k, so entry errors stay at a few rounding units instead of drifting
-    along the table.
+    Row 0 is 1 and row k is row[k & (k - 1)] * rungs[level - tz(k)], where
+    tz(k) counts the trailing zero bits of k.  Clearing the lowest set bit
+    drops the last factor of the direct product of the rungs named by the
+    bits of k, so each row costs one multiplication yet has the same
+    factors, multiplied in the same order, and the same bits: entry errors
+    stay at a few rounding units instead of drifting along the table.
+    Rows are filled one tz class at a time, largest tz first, so every
+    earlier row a class reads is already in place.
     """
-    out = []
-    for k in range(1 << level):
-        v = 1.0
-        for j in range(1, level + 1):
-            if (k >> (level - j)) & 1:
-                v *= rungs[j]
-        out.append(v)
-    return out
+    row = [1.0] * (1 << level)
+    for tz in range(level - 1, -1, -1):
+        r = rungs[level - tz]
+        row[1 << tz::2 << tz] = [v * r for v in row[::2 << tz]]
+    return tuple(row)
 
 
 def trapezoid_recip(x, steps):

@@ -42,7 +42,13 @@ class SqrtTrace(Record):
 
 
 def default_guess(x: float) -> float:
-    """Digit-count starting guess: 10^ceil(d/2) for d-digit x, 1 below 1."""
+    """Digit-count starting guess for the square-root iteration.
+
+    For d-digit x >= 1 it is 10^floor(d/2).  Below 1, the guess starts at 1
+    and is divided by 10 each time a copy of x, still below 0.01, is
+    multiplied by 100; so x in [0.01, 1) gets 1, and subnormals get a guess
+    within an order of magnitude of their root.
+    """
     return kernels.default_guess(x)
 
 

@@ -90,16 +90,18 @@ class LogTable(Record):
 def build_table(ladder: RootLadder, level: int) -> LogTable:
     """Materialize the level-n antilog table from a ladder.
 
-    Row k is the direct product of the rungs named by the bits of k, so
-    every row carries only a few rounding units of error (nothing drifts
-    along the table).
+    Each row costs one multiplication of an earlier row: row k is row
+    k & (k - 1) times one rung.  That product has the same factors, in the
+    same order, as the direct product of the rungs named by the bits of k,
+    so its bits are the same and every row carries only a few rounding
+    units of error (nothing drifts along the table).
     """
     if not 0 <= level <= MAX_TABLE_LEVEL or level > ladder.depth:
         raise LevelOutOfRangeError(
             f"table level must be in [0, min({MAX_TABLE_LEVEL}, ladder depth "
             f"{ladder.depth})], got {level!r}")
-    values = kernels.table_values(ladder.rungs, level)
-    return LogTable(base=ladder.base, level=level, values=tuple(values),
+    return LogTable(base=ladder.base, level=level,
+                    values=kernels.table_values(ladder.rungs, level),
                     built_from=ladder.depth)
 
 

@@ -75,6 +75,17 @@ class TestHeronSqrt:
         assert default_guess(99999.0) == 100.0
         assert default_guess(0.25) == 1.0
         assert default_guess(1.0) == 1.0         # starts on its own root
+        assert default_guess(0.01) == 1.0
+        assert default_guess(0.0099) == 0.1      # one factor 100 -> 10^-1
+        assert default_guess(1e-36) == 1e-18
+        assert default_guess(0.0) == 1.0         # no root: the loop stops
+        assert default_guess(-4.0) == 1.0
+
+    @pytest.mark.parametrize("x", [5e-324, 2.2e-308, 1e-300, 1e-36, 0.0099])
+    def test_converges_far_below_one(self, x):
+        trace = heron_sqrt(x, 1e-12, 64)
+        assert trace.converged
+        assert abs(trace.result - math.sqrt(x)) / math.sqrt(x) <= 1e-11
 
     def test_rejects_bad_input(self):
         with pytest.raises(NonPositiveInputError):

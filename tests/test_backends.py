@@ -57,6 +57,9 @@ def test_default_guess_identical():
     for x in [10.0 ** rng.uniform(-8.0, 15.0) for _ in range(500)] + \
             _anywhere(rng, 500):
         _agree("default_guess", x)
+    # the scaling loop below 0.01 stops, and x <= 0 keeps the guess 1
+    for x in (0.01, 0.0099, 1e-36, 0.0, -0.0, -4.0, -5e-324):
+        _agree("default_guess", x)
 
 
 def test_heron_pairs_identical():
@@ -110,6 +113,26 @@ def test_table_values_identical():
     for rungs in [_rungs(10.0, 40)] + [_rungs(base, 48) for base in BASES]:
         for level in (0, 1, 3, 8, 13):
             _agree("table_values", rungs, level)
+
+
+@pytest.mark.parametrize("twin", [compiled, _kernels_py],
+                         ids=["compiled", "python"])
+def test_table_values_is_a_tuple(twin):
+    rungs = _rungs(10.0, 40)
+    for level in (0, 1, 8):
+        assert type(twin.table_values(rungs, level)) is tuple
+    assert twin.table_values(rungs, 0) == (1.0,)
+
+
+@pytest.mark.parametrize("twin", [compiled, _kernels_py],
+                         ids=["compiled", "python"])
+def test_table_values_errors(twin):
+    rungs = _rungs(10.0, 40)
+    with pytest.raises(ValueError):
+        twin.table_values(rungs, -1)
+    for level in (1, 3, 8):
+        with pytest.raises(IndexError):
+            twin.table_values(rungs[:level], level)
 
 
 def test_trapezoid_identical():

@@ -63,6 +63,19 @@ class TestAudit:
             (2, "libm call"),
         ]
 
+    def test_c_builtin_math_is_caught(self, tmp_path):
+        (tmp_path / "fast.c").write_text(
+            "static double a(double x) { return __builtin_sqrt(x); }\n"
+            "static double b(double x) { return __builtin_powf(x, 0.5f); }\n"
+            "static double c(double x) { return __builtin_log10l (x); }\n"
+            "static int tz(unsigned long long k) { return __builtin_ctzll(k); }\n")
+        violations = audit_no_intrinsics(tmp_path)
+        assert [(v.line, v.reason) for v in violations] == [
+            (1, "libm call"),
+            (2, "libm call"),
+            (3, "libm call"),
+        ]
+
     def test_missing_root_raises(self, tmp_path):
         with pytest.raises(OSError):
             audit_no_intrinsics(tmp_path / "nope")

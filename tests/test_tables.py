@@ -5,6 +5,7 @@ import random
 import pytest
 
 from logladder import (
+    _kernels_py,
     build_ladder,
     build_table,
     log_dyadic,
@@ -19,7 +20,33 @@ def table13(ladder10_40):
     return build_table(ladder10_40, 13)
 
 
+def _direct_products(rungs, level):
+    """Reference rows: each the direct product of the rungs named by the
+    bits of k, most significant bit first."""
+    out = []
+    for k in range(1 << level):
+        v = 1.0
+        for j in range(1, level + 1):
+            if (k >> (level - j)) & 1:
+                v *= rungs[j]
+        out.append(v)
+    return out
+
+
+def _hex(values):
+    return [v.hex() for v in values]
+
+
 class TestBuildTable:
+    @pytest.mark.parametrize("base", [1.000001, 1.5, 2.0, 10.0, 1e6, 1e300])
+    def test_rows_match_direct_products_bit_for_bit(self, base):
+        ladder = build_ladder(base, 16)
+        for level in range(17):
+            want = _hex(_direct_products(ladder.rungs, level))
+            assert _hex(build_table(ladder, level).values) == want, level
+            assert _hex(_kernels_py.table_values(ladder.rungs, level)) == \
+                want, level
+
     def test_level3_matches_oracle(self):
         table = build_table(build_ladder(10.0, 8), 3)
         for k, value in enumerate(table.values):
