@@ -29,11 +29,7 @@ def default_guess(x):
             x *= 100.0
             g /= 10.0
         return g
-    n = int(x)
-    d = 0
-    while n:
-        d += 1
-        n //= 10
+    d = len(str(int(x)))
     g = 1.0
     for _ in range(d // 2):
         g *= 10.0

@@ -101,7 +101,16 @@ def _times_power(v: float, base: float, c: int) -> float:
     """v scaled by the whole power base^c, for a characteristic of any sign."""
     if c >= 0:
         return int_pow(base, c) * v
-    return v / int_pow(base, -c)
+    divisor = kernels.int_pow(base, -c)
+    if is_finite(divisor):
+        return v / divisor
+    # base^-c overflows, yet v / base^-c can still be a tiny or subnormal
+    # float: divide by the power in two halves.
+    half = -c // 2
+    tiny = v / int_pow(base, -c - half) / int_pow(base, half)
+    if tiny > 0.0:
+        return tiny
+    return v / int_pow(base, -c)  # raises OverflowError: nothing is left
 
 
 def log_dyadic(y: float, ladder: RootLadder) -> LogValue:
@@ -117,12 +126,23 @@ def log_dyadic(y: float, ladder: RootLadder) -> LogValue:
     if not (y > 0.0) or not is_finite(y):
         raise NonPositiveInputError(
             f"logarithm needs a positive finite number, got {y!r}")
-    c, k, _residual = kernels.log_split(y, ladder.base, ladder.rungs)
+    # The normalization loop runs |characteristic| times, so a y far out of
+    # range (for a base near 1, any y far from 1) is refused before it
+    # starts.  Division and int_pow round differently: keep one power of
+    # slack on each side and let the check after the loop decide the last.
+    # The kernel's int_pow gives inf for large bases: every y is in range.
+    base = ladder.base
+    if not (1.0 / kernels.int_pow(base, MAX_CHARACTERISTIC + 1) <= y
+            < kernels.int_pow(base, MAX_CHARACTERISTIC + 2)):
+        raise CharacteristicOverflowError(
+            f"log of {y!r} in base {base!r} has a characteristic outside "
+            f"+/-{MAX_CHARACTERISTIC}")
+    c, k, _residual = kernels.log_split(y, base, ladder.rungs)
     if abs(c) > MAX_CHARACTERISTIC:
         raise CharacteristicOverflowError(
             f"characteristic {c} outside +/-{MAX_CHARACTERISTIC}")
-    return LogValue(base=ladder.base, characteristic=int(c),
-                    mantissa_exponent=DyadicExponent(int(k), ladder.depth),
+    return LogValue(base=base, characteristic=c,
+                    mantissa_exponent=DyadicExponent(k, ladder.depth),
                     error_bound=1.0 / (1 << ladder.depth))
 
 

@@ -13,23 +13,11 @@ entries).
 
 from ._backend import kernels
 from ._record import Record, set_field
-from .engine import LogValue, _floor, _lowest_terms, _times_power, log_dyadic
+from .engine import LogValue, _floor, _times_power, log_dyadic
 from .errors import LevelOutOfRangeError, OutOfRangeError
 from .ladder import RootLadder
 
 MAX_TABLE_LEVEL = 16
-
-
-def _dyadic_decimal(k: int, n: int) -> str:
-    """Exact decimal string for k / 2^n (powers of two divide powers of ten)."""
-    k, n = _lowest_terms(k, n)
-    if n == 0:
-        return str(k)
-    p = 1
-    for _ in range(n):
-        p *= 5
-    digits = str(k * p).rjust(n + 1, "0")
-    return digits[:-n] + "." + digits[-n:]
 
 
 class LogTable(Record):
@@ -60,10 +48,21 @@ class LogTable(Record):
         return self.mantissa_of(k), self.values[k]
 
     def to_csv(self) -> str:
-        """CSV rows: exact-decimal mantissa exponent, value to 12 digits."""
+        """CSV rows: exact-decimal mantissa exponent, value to 12 digits.
+
+        k / 2^n is exactly k * 5^n / 10^n, so the exponent is the digits of
+        k * 5^n with the point n places from the right, trailing zeros cut.
+        """
+        n = self.level
+        p = 1
+        for _ in range(n):
+            p *= 5
         lines = ["mantissa_exponent,value"]
         for k, v in enumerate(self.values):
-            lines.append(f"{_dyadic_decimal(k, self.level)},{v:.12g}")
+            digits = str(k * p).rjust(n + 1, "0")
+            point = len(digits) - n
+            exponent = (digits[:point] + "." + digits[point:]).rstrip("0")
+            lines.append(f"{exponent.rstrip('.')},{v:.12g}")
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:

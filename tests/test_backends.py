@@ -111,7 +111,7 @@ def test_int_pow_identical():
 
 def test_table_values_identical():
     for rungs in [_rungs(10.0, 40)] + [_rungs(base, 48) for base in BASES]:
-        for level in (0, 1, 3, 8, 13):
+        for level in (0, 1, 3, 8, 13, 16):
             _agree("table_values", rungs, level)
 
 
@@ -142,3 +142,4 @@ def test_trapezoid_identical():
                rng.randrange(16, 5000))
     for x in _anywhere(rng, 50):
         _agree("trapezoid_recip", x, rng.randrange(16, 500))
+    _agree("trapezoid_recip", 10.0, 1 << 21)

@@ -1,10 +1,14 @@
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import logladder
 from logladder import (
     DyadicExponent,
     LogValue,
@@ -18,6 +22,7 @@ from logladder._backend import kernels
 from logladder.engine import _lowest_terms
 from logladder.errors import (
     BadBaseError,
+    CharacteristicOverflowError,
     DepthMismatchError,
     LevelOutOfRangeError,
     NonPositiveInputError,
@@ -110,6 +115,39 @@ class TestLogDyadic:
             with pytest.raises(NonPositiveInputError):
                 log_dyadic(bad, ladder10_40)
 
+    def test_characteristic_bound_edges(self):
+        # repeated division leaves int_pow(1.5, 401) at characteristic 400,
+        # so the check before the loop must not refuse it
+        top = kernels.int_pow(1.5, 401)
+        assert log_dyadic(top, build_ladder(1.5, 40)).characteristic == 400
+        ladder = build_ladder(1.0000001, 40)
+        assert log_dyadic(1.0000399, ladder).characteristic == 398
+        assert log_dyadic(1.0 / 1.0000399, ladder).characteristic == -399
+        for y in (1.0000403, 1.0 / 1.0000401, 1.0 / 1.0000403, 2.0, 0.5):
+            with pytest.raises(CharacteristicOverflowError):
+                log_dyadic(y, ladder)
+
+    @pytest.mark.parametrize("backend", ["compiled", "python"])
+    def test_far_out_of_range_fails_before_looping(self, backend):
+        # about 6.9e9 divisions if the bound were checked after the loop
+        if backend == "compiled":
+            pytest.importorskip("logladder._kernels",
+                                reason="compiled kernels not built")
+        src = os.path.dirname(os.path.dirname(logladder.__file__))
+        env = dict(os.environ, LOGLADDER_BACKEND=backend,
+                   PYTHONPATH=os.pathsep.join(
+                       p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        code = ("from logladder import build_ladder, log_dyadic\n"
+                "from logladder.errors import CharacteristicOverflowError\n"
+                "try:\n"
+                "    log_dyadic(1e300, build_ladder(1.0000001, 40))\n"
+                "except CharacteristicOverflowError:\n"
+                "    raise SystemExit(0)\n"
+                "raise SystemExit(1)\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              timeout=10)
+        assert proc.returncode == 0
+
 
 class TestAntilogDyadic:
     def test_half_is_root_ten(self, ladder10_40):
@@ -147,6 +185,13 @@ class TestAntilogDyadic:
         assert antilog_dyadic(-2.0, ladder10_40) == pytest.approx(0.01, rel=1e-12)
         assert antilog_dyadic(-0.5, ladder10_40) == pytest.approx(
             1.0 / math.sqrt(10.0), rel=1e-10)
+        # 10^320 overflows, yet 10^-320 is a subnormal float
+        assert antilog_dyadic(-320.0, ladder10_40) == pytest.approx(
+            1e-320, rel=1e-3)
+        assert antilog_dyadic(log_dyadic(5e-324, ladder10_40),
+                              ladder10_40) == 5e-324
+        with pytest.raises(OverflowError):
+            antilog_dyadic(-330.0, ladder10_40)  # below every float
 
     def test_off_grid_rounds_ties_even(self, ladder10_20):
         # exactly between grid points 1/2^20 and 2/2^20: even numerator wins

@@ -95,8 +95,14 @@ class TestOracleCompare:
     def test_json_line_shape(self):
         report = oracle_compare("heron_sqrt", 10, 0)
         payload = json.loads(report.to_json())
-        assert set(payload) == {"operation", "samples", "max_rel_error",
-                                "tolerance", "passed"}
+        assert set(payload) == {"operation", "samples", "overflows",
+                                "max_rel_error", "tolerance", "passed"}
+
+    @pytest.mark.parametrize("operation", ["log_dyadic", "antilog_roundtrip"])
+    def test_out_of_range_logs_are_counted(self, operation):
+        # base 2 covers only 2^-400..2^401 of the sampled 1e-323..1e308
+        report = oracle_compare(operation, 400, 42)
+        assert 0 < report.overflows < report.samples
 
     def test_unknown_operation(self):
         with pytest.raises(UnknownOperationError):

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from decimal import Decimal, localcontext
 
 import pytest
 
@@ -171,6 +172,17 @@ class TestExports:
         assert rows[1].startswith("0,")
         assert rows[2].startswith("0.0625,")
         assert rows[9].startswith("0.5,")
+
+    def test_csv_matches_exact_reference_all_levels(self, ladder10_40):
+        with localcontext() as ctx:
+            ctx.prec = 40  # k / 2^16 needs at most 21 significant digits
+            for level in range(17):
+                table = build_table(ladder10_40, level)
+                want = ["mantissa_exponent,value"]
+                for k, v in enumerate(table.values):
+                    d = Decimal(k) / (1 << level)
+                    want.append(f"{d.normalize():f},{v:.12g}")
+                assert table.to_csv() == "\n".join(want) + "\n", level
 
     def test_json_mirrors_fields(self, ladder10_40):
         table = build_table(ladder10_40, 2)

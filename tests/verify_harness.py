@@ -27,8 +27,16 @@ from logladder import (
     heron_sqrt,
     log_dyadic,
 )
+from logladder.engine import MAX_CHARACTERISTIC
+from logladder.errors import CharacteristicOverflowError
 
 SRC_ROOT = pathlib.Path(__file__).resolve().parent.parent / "src" / "logladder"
+
+# Bases the log oracles take in turn.  No base near 1: at depth 40 the
+# finest rungs of such a base round to exactly 1.0 (eight of them for base
+# 1.000001), so its logs miss 3 * 2^-40 by about 1000x, and a fair test
+# needs a bound derived from the base.
+LOG_BASES = (2.0, 3.0, 10.0, 1e6)
 
 
 class UnknownOperationError(KeyError):
@@ -37,8 +45,16 @@ class UnknownOperationError(KeyError):
 
 @dataclass(frozen=True)
 class OracleReport:
+    """Worst error over the scored samples.
+
+    ``overflows`` counts samples whose characteristic lies outside
+    +/-MAX_CHARACTERISTIC: the library must reject them, and they are not
+    scored.
+    """
+
     operation: str
     samples: int
+    overflows: int
     max_rel_error: float
     tolerance: float
     passed: bool
@@ -47,17 +63,43 @@ class OracleReport:
         return json.dumps({
             "operation": self.operation,
             "samples": self.samples,
+            "overflows": self.overflows,
             "max_rel_error": self.max_rel_error,
             "tolerance": self.tolerance,
             "passed": self.passed,
         })
 
 
-def _report(operation, samples, errors, tolerance) -> OracleReport:
-    worst = max(errors)
+def _report(operation, samples, errors, tolerance,
+            overflows=0) -> OracleReport:
+    worst = max(errors, default=0.0)
     return OracleReport(operation=operation, samples=samples,
-                        max_rel_error=worst, tolerance=tolerance,
-                        passed=worst <= tolerance)
+                        overflows=overflows, max_rel_error=worst,
+                        tolerance=tolerance, passed=worst <= tolerance)
+
+
+def _log_errors(rng, samples, error):
+    """Score error(y, log, ladder) over y log-uniform in 1e-323..1e308.
+
+    The bases in LOG_BASES take turns.  A y whose characteristic is out of
+    range must raise CharacteristicOverflowError; it is counted, not
+    scored.  Returns (errors, overflows).
+    """
+    ladders = {base: build_ladder(base, 40) for base in LOG_BASES}
+    errors, overflows = [], 0
+    for i in range(samples):
+        ladder = ladders[LOG_BASES[i % len(LOG_BASES)]]
+        y = 10.0 ** rng.uniform(-323.0, 308.0)
+        try:
+            x = log_dyadic(y, ladder)
+        except CharacteristicOverflowError:
+            t = math.log(y) / math.log(ladder.base)
+            if -MAX_CHARACTERISTIC <= t < MAX_CHARACTERISTIC + 1:
+                raise
+            overflows += 1
+            continue
+        errors.append(error(y, x, ladder))
+    return errors, overflows
 
 
 def oracle_compare(operation: str, samples: int, seed: int) -> OracleReport:
@@ -81,23 +123,21 @@ def oracle_compare(operation: str, samples: int, seed: int) -> OracleReport:
         return _report(operation, samples, errors, 1e-11)
 
     if operation == "log_dyadic":
-        ladder = build_ladder(10.0, 40)
-        errors = []
-        for _ in range(samples):
-            y = 10.0 ** rng.uniform(-8.0, 8.0)
-            got = log_dyadic(y, ladder).value()
-            errors.append(abs(got - math.log10(y)))
-        return _report(operation, samples, errors, 3.0 * 2.0 ** -40)
+        errors, overflows = _log_errors(
+            rng, samples, lambda y, x, ladder:
+            abs(x.value() - math.log(y) / math.log(ladder.base)))
+        return _report(operation, samples, errors, 3.0 * 2.0 ** -40,
+                       overflows)
 
     if operation == "antilog_roundtrip":
-        ladder = build_ladder(10.0, 40)
-        errors = []
-        for _ in range(samples):
-            y = 10.0 ** rng.uniform(-8.0, 8.0)
-            back = antilog_dyadic(log_dyadic(y, ladder), ladder)
-            errors.append(abs(back / y - 1.0))
+        # The bound is 3 * ln(b) * 2^-40, so each error is scaled by
+        # ln(10) / ln(b) and the base-10 figure holds for every base.
+        errors, overflows = _log_errors(
+            rng, samples, lambda y, x, ladder:
+            abs(antilog_dyadic(x, ladder) / y - 1.0)
+            * math.log(10.0) / math.log(ladder.base))
         return _report(operation, samples, errors,
-                       3.0 * math.log(10.0) * 2.0 ** -40)
+                       3.0 * math.log(10.0) * 2.0 ** -40, overflows)
 
     if operation == "convert_base":
         ladder = build_ladder(10.0, 40)
