@@ -3,17 +3,16 @@
 Preference order: the compiled extension if it imported cleanly, else the
 pure-Python fallback.  ``LOGLADDER_BACKEND=python`` or ``=compiled`` forces
 one side (forcing the compiled side raises if the build is absent, rather
-than silently benchmarking the wrong thing).
+than silently benchmarking the wrong thing).  The pure-Python module is
+imported only when it is the one selected.
 """
 
 import os
 
-from . import _kernels_py
-
 _forced = os.environ.get("LOGLADDER_BACKEND", "").strip().lower()
 
 if _forced == "python":
-    kernels = _kernels_py
+    from . import _kernels_py as kernels
 elif _forced == "compiled":
     from . import _kernels as kernels  # ImportError here is intentional
 elif _forced:
@@ -23,9 +22,11 @@ else:
     try:
         from . import _kernels as kernels
     except ImportError:
-        kernels = _kernels_py
+        from . import _kernels_py as kernels
 
 
 def backend_name():
     """'compiled' when the extension is active, else 'python'."""
-    return "python" if kernels is _kernels_py else "compiled"
+    if kernels.__name__ == __package__ + "._kernels_py":
+        return "python"
+    return "compiled"

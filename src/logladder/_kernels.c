@@ -17,6 +17,7 @@
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
+#include <float.h>
 
 /* ------------------------------------------------------------- helpers */
 
@@ -232,15 +233,92 @@ fail:
     return NULL;
 }
 
+/* Double-double arithmetic for the characteristic search of log_split,
+ * step for step the helpers of the same names in the Python twin.  A value
+ * is an unevaluated sum hi + lo with |lo| at most half an ulp of hi. */
+
+#define SPLITTER 134217729.0            /* 2^27 + 1 (Veltkamp) */
+#define DD_BIG 0x1p995                  /* scale above this ... */
+#define DD_DOWN 0x1p-64                 /* ... by this ... */
+#define DD_UP 0x1p64                    /* ... and back by this */
+
+/* *p = a * b rounded and *e = a * b - *p exactly (Dekker), for positive a
+ * and b with b at most 2^995 and a finite product above about 2^-900.  A
+ * first factor or product above 2^995 could overflow in the split: the
+ * first factor is scaled by 2^-64 and the error term back by 2^64. */
+static inline void
+two_prod(double a, double b, double *p, double *e)
+{
+    double s, scale = 1.0, t, ah, al, bh, bl;
+    *p = a * b;
+    s = *p;
+    if (a > DD_BIG || *p > DD_BIG) {
+        a *= DD_DOWN;
+        s = a * b;
+        scale = DD_UP;
+    }
+    t = a * SPLITTER;
+    ah = t - (t - a);
+    al = a - ah;
+    t = b * SPLITTER;
+    bh = t - (t - b);
+    bl = b - bh;
+    *e = (((ah * bh - s) + ah * bl) + al * bh) + al * bl;
+    *e = *e * scale;
+}
+
+/* (h + l) * (ph + pl) */
+static inline void
+dd_mul(double h, double l, double ph, double pl, double *th, double *tl)
+{
+    double p, e;
+    two_prod(ph, h, &p, &e);
+    e += h * pl + l * ph;
+    *th = p + e;
+    *tl = e - (*th - p);
+}
+
+/* (h + l) / (ph + pl) for h >= ph: q = h / ph corrected by the exact
+ * remainder h - q * ph plus the low parts, over ph.  A dividend above
+ * 2^995 is scaled by 2^-64 and its quotient back by 2^64. */
+static inline void
+dd_div(double *h, double *l, double ph, double pl)
+{
+    double scale = 1.0, q, p, e, d, s;
+    if (*h > DD_BIG) {
+        *h *= DD_DOWN;
+        *l *= DD_DOWN;
+        scale = DD_UP;
+    }
+    q = *h / ph;
+    two_prod(ph, q, &p, &e);
+    d = ((((*h - p) - e) + *l) - q * pl) / ph;
+    s = q + d;
+    *h = s * scale;
+    *l = (d - (s - q)) * scale;
+}
+
+/* The characteristic in O(log |c|) steps on double-double powers
+ * base^(2^i), then at most one plain step and the greedy walk; see the
+ * Python twin for the full account.  Positive finite y and finite base > 1
+ * only (ValueError otherwise); base^(2^62) overflows even for base
+ * 1 + 2^-52, so 63 powers always suffice. */
 static PyObject *
 log_split(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    double r, base, rung;
+    double y, base, rung, h, l, r;
+    double ph[63], pl[63];
     long long c = 0;
     long long k = 0;
-    if (!nargs_ok("log_split", nargs, 3) || as_double(args[0], &r) < 0
+    int n, i;
+    if (!nargs_ok("log_split", nargs, 3) || as_double(args[0], &y) < 0
             || as_double(args[1], &base) < 0)
         return NULL;
+    if (!(0.0 < y && y <= DBL_MAX && 1.0 < base && base <= DBL_MAX)) {
+        PyErr_SetString(PyExc_ValueError, "log_split needs a positive finite "
+                                          "y and a finite base > 1");
+        return NULL;
+    }
     PyObject *seq = PySequence_Tuple(args[2]);
     if (seq == NULL)
         return NULL;
@@ -249,11 +327,51 @@ log_split(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
         PyErr_SetString(PyExc_OverflowError, "more than 63 rungs below the base");
         goto fail;
     }
-    while (r >= base) {
-        if (base == 0.0) {
-            zero_division();
-            goto fail;
+    h = y;
+    l = 0.0;
+    if (y >= base) {
+        ph[0] = base;
+        pl[0] = 0.0;
+        for (n = 1; n < 63 && ph[n - 1] * ph[n - 1] <= y; n++)
+            dd_mul(ph[n - 1], pl[n - 1], ph[n - 1], pl[n - 1], &ph[n], &pl[n]);
+        i = n - 1;
+        while (h > ph[i] || (h == ph[i] && l >= pl[i])) {
+            dd_div(&h, &l, ph[i], pl[i]);
+            c += 1LL << i;
         }
+        for (i = n - 2; i >= 0; i--) {
+            if (h > ph[i] || (h == ph[i] && l >= pl[i])) {
+                dd_div(&h, &l, ph[i], pl[i]);
+                c += 1LL << i;
+            }
+        }
+    }
+    else if (y < 1.0) {
+        double th, tl;
+        ph[0] = base;
+        pl[0] = 0.0;
+        for (n = 1; n < 63 && y * (ph[n - 1] * ph[n - 1]) < 1.0; n++)
+            dd_mul(ph[n - 1], pl[n - 1], ph[n - 1], pl[n - 1], &ph[n], &pl[n]);
+        i = n - 1;
+        for (;;) {
+            dd_mul(h, l, ph[i], pl[i], &th, &tl);
+            if (!(th < base || (th == base && tl < 0.0)))
+                break;
+            h = th;
+            l = tl;
+            c -= 1LL << i;
+        }
+        for (i = n - 2; i >= 0; i--) {
+            dd_mul(h, l, ph[i], pl[i], &th, &tl);
+            if (th < base || (th == base && tl < 0.0)) {
+                h = th;
+                l = tl;
+                c -= 1LL << i;
+            }
+        }
+    }
+    r = h;
+    while (r >= base) {
         r /= base;
         c++;
     }

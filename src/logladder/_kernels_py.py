@@ -73,17 +73,130 @@ def ladder_rungs(base, depth, rel_tol, max_iterations):
     return rungs, True
 
 
+# Veltkamp's splitter 2^27 + 1: t - (t - a) with t = a * _SPLIT keeps the top
+# 26 bits of a, and a minus that keeps the rest.
+_SPLIT = 134217729.0
+# A two-product whose first factor or result passes 2^995 could overflow in
+# its split or partial products, so it scales that factor by 2^-64 first and
+# the error term back by 2^64; a double-double division whose dividend
+# passes 2^995 does the same to the dividend and its quotient.
+_BIG = float.fromhex("0x1p995")
+_DOWN = float.fromhex("0x1p-64")
+_UP = float.fromhex("0x1p64")
+_DBL_MAX = float.fromhex("0x1.fffffffffffffp1023")
+
+
+def _two_prod(a, b):
+    """(p, e) with p = a * b rounded and p + e = a * b exactly (Dekker).
+
+    For positive a and b with b at most 2^995 and a * b finite (and above
+    about 2^-900, or e loses bits to underflow); only + - * are used, no
+    fused multiply-add.
+    """
+    p = a * b
+    s = p
+    scale = 1.0
+    if a > _BIG or p > _BIG:
+        a *= _DOWN
+        s = a * b
+        scale = _UP
+    t = a * _SPLIT
+    ah = t - (t - a)
+    al = a - ah
+    t = b * _SPLIT
+    bh = t - (t - b)
+    bl = b - bh
+    e = ((ah * bh - s) + ah * bl + al * bh) + al * bl
+    return p, e * scale
+
+
+def _dd_mul(h, l, ph, pl):
+    """(h + l) * (ph + pl) as a normalized double-double pair."""
+    p, e = _two_prod(ph, h)
+    e += h * pl + l * ph
+    s = p + e
+    return s, e - (s - p)
+
+
+def _dd_div(h, l, ph, pl):
+    """(h + l) / (ph + pl) for h >= ph, as a normalized double-double pair.
+
+    The quotient q = h / ph is corrected by the exact remainder
+    h - q * ph (a two-product away) plus the low parts, over ph.
+    """
+    scale = 1.0
+    if h > _BIG:
+        h *= _DOWN
+        l *= _DOWN
+        scale = _UP
+    q = h / ph
+    p, e = _two_prod(ph, q)
+    d = ((((h - p) - e) + l) - q * pl) / ph
+    s = q + d
+    return s * scale, (d - (s - q)) * scale
+
+
 def log_split(y, base, rungs):
     """Characteristic plus greedy dyadic mantissa extraction.
 
-    Scales y by whole powers of ``base`` until the residual sits in
-    [1, base), then walks the rung list: whenever the residual still
-    exceeds rungs[j] it is divided out and bit j of the mantissa is set.
-    Returns ``(characteristic, mantissa_numerator, residual)`` with the
-    numerator on the 2^-depth grid and 1 <= residual < rungs[depth].
+    The characteristic takes O(log |c|) steps.  For y >= base the powers
+    base^(2^i) are built as double-double pairs by repeated squaring while
+    they stay at most y, then divided out of the residual from the largest
+    down (the largest as often as it fits) whenever the residual reaches
+    them; for y < 1 they are built while y times their square stays below
+    1, and multiplied in whenever the product stays below base.  Either
+    way the residual ends in [1, base) as a double-double, about 2^-100
+    relative from exact, so its high part is y / base^c correctly rounded;
+    the plain single-step loops then move only a high part that rounded
+    onto base.  The greedy walk over the rung list follows: whenever the
+    residual still reaches rungs[j] it is divided out and bit j of the
+    mantissa is set.  Returns
+    ``(characteristic, mantissa_numerator, residual)`` with the numerator
+    on the 2^-depth grid and 1 <= residual < rungs[depth].  Raises
+    ValueError unless y is positive and finite and base is finite and > 1.
     """
+    if not (0.0 < y <= _DBL_MAX and 1.0 < base <= _DBL_MAX):
+        raise ValueError("log_split needs a positive finite y and a finite "
+                         "base > 1")
     c = 0
-    r = y
+    h, l = y, 0.0
+    # base^(2^62) overflows even for base 1 + 2^-52, so the cap of 63
+    # powers never binds for valid input; it bounds the C twin's arrays
+    if y >= base:
+        pows = [(base, 0.0)]
+        while len(pows) < 63 and pows[-1][0] * pows[-1][0] <= y:
+            ph, pl = pows[-1]
+            pows.append(_dd_mul(ph, pl, ph, pl))
+        i = len(pows) - 1
+        ph, pl = pows[i]
+        while h > ph or h == ph and l >= pl:
+            h, l = _dd_div(h, l, ph, pl)
+            c += 1 << i
+        for i in range(i - 1, -1, -1):
+            ph, pl = pows[i]
+            if h > ph or h == ph and l >= pl:
+                h, l = _dd_div(h, l, ph, pl)
+                c += 1 << i
+    elif y < 1.0:
+        pows = [(base, 0.0)]
+        while len(pows) < 63 and y * (pows[-1][0] * pows[-1][0]) < 1.0:
+            ph, pl = pows[-1]
+            pows.append(_dd_mul(ph, pl, ph, pl))
+        i = len(pows) - 1
+        ph, pl = pows[i]
+        while True:
+            th, tl = _dd_mul(h, l, ph, pl)
+            if not (th < base or th == base and tl < 0.0):
+                break
+            h, l = th, tl
+            c -= 1 << i
+        for i in range(i - 1, -1, -1):
+            ph, pl = pows[i]
+            th, tl = _dd_mul(h, l, ph, pl)
+            if th < base or th == base and tl < 0.0:
+                h, l = th, tl
+                c -= 1 << i
+    r = h
     while r >= base:
         r /= base
         c += 1

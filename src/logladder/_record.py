@@ -17,6 +17,16 @@ record class is never subclassed to add fields.
 set_field = object.__setattr__
 
 
+def field_setters(cls) -> tuple:
+    """One setter per field of a record class, in ``__slots__`` order.
+
+    Each takes (instance, value) and writes the slot descriptor directly:
+    like ``set_field`` it skips the class's checks, and it skips the lookup
+    by name too, for constructors on a hot path.
+    """
+    return tuple([getattr(cls, name).__set__ for name in cls.__slots__])
+
+
 class Record:
     __slots__ = ()
 

@@ -11,8 +11,8 @@ named by the exponent's bits.
 """
 
 from ._backend import kernels
-from ._record import Record, set_field
-from .arith import int_pow, is_finite
+from ._record import Record, field_setters, set_field
+from .arith import is_finite
 from .errors import (
     BadBaseError,
     CharacteristicOverflowError,
@@ -22,9 +22,10 @@ from .errors import (
 )
 from .ladder import MAX_DEPTH, RootLadder
 
-# Whole powers of 10 stay comfortably finite in binary64 up to here; the
-# normalization loop can never legitimately pass it for finite input.
-MAX_CHARACTERISTIC = 400
+# No whole power base^c with |c| >= 2^62 can scale a value in [1, base) to a
+# finite nonzero float: even the base nearest 1, 1 + 2^-52, has
+# base^(2^62) near e^1024.  Below it c also fits the kernels' C integers.
+_CHARACTERISTIC_LIMIT = 1 << 62
 
 
 def _lowest_terms(k: int, n: int) -> tuple[int, int]:
@@ -90,6 +91,33 @@ class LogValue(Record):
         return self.characteristic + self.mantissa_exponent.value()
 
 
+_new = object.__new__
+_set_numerator, _set_level = field_setters(DyadicExponent)
+_set_base, _set_characteristic, _set_mantissa, _set_bound = \
+    field_setters(LogValue)
+# _GRID[d] is the grid step 2^-d, the error bound of a depth-d log.
+_GRID = tuple([1.0 / (1 << d) for d in range(MAX_DEPTH + 1)])
+
+
+def _from_split(base: float, c: int, k: int, depth: int) -> LogValue:
+    """The LogValue of a log_split result, built without the public checks.
+
+    The kernel returns 0 <= k < 2^depth on a ladder whose depth is in
+    [0, MAX_DEPTH], which is everything the public constructors check; the
+    fields are the ones they would set (tests hold the two paths equal).
+    """
+    numerator, level = _lowest_terms(k, depth)
+    m = _new(DyadicExponent)
+    _set_numerator(m, numerator)
+    _set_level(m, level)
+    v = _new(LogValue)
+    _set_base(v, base)
+    _set_characteristic(v, c)
+    _set_mantissa(v, m)
+    _set_bound(v, _GRID[depth])
+    return v
+
+
 def _floor(x: float) -> int:
     c = int(x)
     if c > x:
@@ -98,52 +126,46 @@ def _floor(x: float) -> int:
 
 
 def _times_power(v: float, base: float, c: int) -> float:
-    """v scaled by the whole power base^c, for a characteristic of any sign."""
+    """v in [1, base) scaled by the whole power base^c, for |c| < 2^63.
+
+    Raises CharacteristicOverflowError when the result overflows to inf or
+    underflows to 0.
+    """
     if c >= 0:
-        return int_pow(base, c) * v
-    divisor = kernels.int_pow(base, -c)
-    if is_finite(divisor):
-        return v / divisor
-    # base^-c overflows, yet v / base^-c can still be a tiny or subnormal
-    # float: divide by the power in two halves.
-    half = -c // 2
-    tiny = v / int_pow(base, -c - half) / int_pow(base, half)
-    if tiny > 0.0:
-        return tiny
-    return v / int_pow(base, -c)  # raises OverflowError: nothing is left
+        r = kernels.int_pow(base, c) * v
+    else:
+        divisor = kernels.int_pow(base, -c)
+        if is_finite(divisor):
+            r = v / divisor
+        else:
+            # base^-c overflows, yet v / base^-c can still be a tiny or
+            # subnormal float: divide by the power in two halves.
+            half = -c // 2
+            r = (v / kernels.int_pow(base, -c - half)
+                 / kernels.int_pow(base, half))
+    if not (r > 0.0) or not is_finite(r):
+        what = "overflows" if c > 0 else "underflows"
+        raise CharacteristicOverflowError(
+            f"scaling by {base!r}^{c} {what} the float range")
+    return r
 
 
 def log_dyadic(y: float, ladder: RootLadder) -> LogValue:
     """log of y in the ladder's base, resolved to 2^-depth.
 
-    Any positive finite y is accepted; values outside [1, base) are first
-    scaled by whole powers of the base (that scaling is the characteristic,
-    so the mantissa always lands in [0, 1)).  Zero and negative inputs are
-    rejected: their logarithms do not exist in the real numbers this
-    library lives in.
+    Any positive finite y is accepted, in any base > 1; values outside
+    [1, base) are first scaled by whole powers of the base (that scaling is
+    the characteristic, so the mantissa always lands in [0, 1)).  The
+    kernel finds the characteristic in O(log |c|) steps on double-double
+    powers of the base.  Zero and negative inputs are rejected: their
+    logarithms do not exist in the real numbers this library lives in.
     """
     y = float(y)
     if not (y > 0.0) or not is_finite(y):
         raise NonPositiveInputError(
             f"logarithm needs a positive finite number, got {y!r}")
-    # The normalization loop runs |characteristic| times, so a y far out of
-    # range (for a base near 1, any y far from 1) is refused before it
-    # starts.  Division and int_pow round differently: keep one power of
-    # slack on each side and let the check after the loop decide the last.
-    # The kernel's int_pow gives inf for large bases: every y is in range.
-    base = ladder.base
-    if not (1.0 / kernels.int_pow(base, MAX_CHARACTERISTIC + 1) <= y
-            < kernels.int_pow(base, MAX_CHARACTERISTIC + 2)):
-        raise CharacteristicOverflowError(
-            f"log of {y!r} in base {base!r} has a characteristic outside "
-            f"+/-{MAX_CHARACTERISTIC}")
-    c, k, _residual = kernels.log_split(y, base, ladder.rungs)
-    if abs(c) > MAX_CHARACTERISTIC:
-        raise CharacteristicOverflowError(
-            f"characteristic {c} outside +/-{MAX_CHARACTERISTIC}")
-    return LogValue(base=base, characteristic=c,
-                    mantissa_exponent=DyadicExponent(k, ladder.depth),
-                    error_bound=1.0 / (1 << ladder.depth))
+    c, k, _residual = kernels.log_split(y, ladder.base, ladder.rungs)
+    return _from_split(ladder.base, c, k, ladder.depth)
 
 
 def antilog_dyadic(x: "LogValue | float", ladder: RootLadder) -> float:
@@ -151,7 +173,8 @@ def antilog_dyadic(x: "LogValue | float", ladder: RootLadder) -> float:
 
     LogValue inputs are honored exactly at their own level (which must not
     be finer than the ladder).  Plain reals are rounded to the nearest
-    point of the 2^-depth grid, ties toward the even numerator.
+    point of the 2^-depth grid, ties toward the even numerator.  Raises
+    CharacteristicOverflowError when the result overflows or underflows.
     """
     if isinstance(x, LogValue):
         if x.base != ladder.base:
@@ -161,21 +184,25 @@ def antilog_dyadic(x: "LogValue | float", ladder: RootLadder) -> float:
         if m.level > ladder.depth:
             raise DepthMismatchError(
                 f"exponent level {m.level} exceeds ladder depth {ladder.depth}")
-        if abs(x.value()) > MAX_CHARACTERISTIC + 1:
-            raise CharacteristicOverflowError(f"antilog of {x.value()!r} overflows")
         c = x.characteristic
         k, level = m.numerator, m.level
     else:
         x = float(x)
-        if not is_finite(x) or abs(x) > MAX_CHARACTERISTIC:
+        if not is_finite(x):
             raise CharacteristicOverflowError(
-                f"antilog exponent must lie in +/-{MAX_CHARACTERISTIC}, got {x!r}")
+                f"antilog exponent must be finite, got {x!r}")
         c = _floor(x)
         k = round((x - c) * (1 << ladder.depth))
         level = ladder.depth
         if k == 1 << ladder.depth:
             c += 1
             k = 0
+    # checked before any kernel call: no kernel sees an integer past its range
+    if not -_CHARACTERISTIC_LIMIT < c < _CHARACTERISTIC_LIMIT:
+        what = "overflows" if c > 0 else "underflows"
+        raise CharacteristicOverflowError(
+            f"scaling by {ladder.base!r}^c with |c| >= 2^62 {what} the "
+            "float range")
     v = kernels.mantissa_product(k, level, ladder.rungs)
     return _times_power(v, ladder.base, c)
 

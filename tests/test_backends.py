@@ -1,7 +1,10 @@
 """The compiled and pure-Python kernels must agree bit for bit."""
 
+import os
 import random
 import struct
+import subprocess
+import sys
 
 import pytest
 
@@ -52,6 +55,20 @@ def test_active_backend_reports_a_known_name():
     assert kernels in (compiled, _kernels_py)
 
 
+@pytest.mark.parametrize("backend", ["compiled", "python"])
+def test_only_the_selected_twin_is_imported(backend):
+    src = os.path.dirname(os.path.dirname(_kernels_py.__file__))
+    env = dict(os.environ, LOGLADDER_BACKEND=backend,
+               PYTHONPATH=os.pathsep.join(
+                   p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, logladder\n"
+            "print(logladder.backend_name(),\n"
+            "      'logladder._kernels_py' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, timeout=30,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == [backend, str(backend == "python")]
+
+
 def test_default_guess_identical():
     rng = random.Random(1)
     for x in [10.0 ** rng.uniform(-8.0, 15.0) for _ in range(500)] + \
@@ -87,6 +104,33 @@ def test_log_split_identical():
             rungs = _rungs(base, depth)
             for y in _anywhere(rng, 100):
                 _agree("log_split", y, base, rungs)
+
+
+# The characteristic search on double-double powers, at the ends of the
+# float range and of the base range (1 + 2^-52 needs 61 squarings).
+SPLIT_BASES = (1.0 + 2.0 ** -52, 1.0000001, 1.001, 1.5, 2.0, 10.0, 1e300)
+SPLIT_EDGES = (5e-324, 2.2250738585072014e-308, 1.7976931348623157e308)
+
+
+@pytest.mark.parametrize("base", SPLIT_BASES)
+def test_log_split_identical_over_the_float_range(base):
+    rng = random.Random(7)
+    for depth in (0, 40):
+        rungs = _rungs(base, depth)
+        for y in SPLIT_EDGES + tuple(_anywhere(rng, 150)):
+            _agree("log_split", y, base, rungs)
+
+
+@pytest.mark.parametrize("twin", [compiled, _kernels_py],
+                         ids=["compiled", "python"])
+def test_log_split_refuses_what_has_no_log(twin):
+    rungs = _rungs(10.0, 8)
+    for y in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            twin.log_split(y, 10.0, rungs)
+    for base in (1.0, 0.5, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            twin.log_split(2.0, base, rungs)
 
 
 def test_mantissa_product_identical():

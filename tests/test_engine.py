@@ -3,6 +3,9 @@ import os
 import random
 import subprocess
 import sys
+import time
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 
 import logladder
 from logladder import (
+    _kernels_py,
     DyadicExponent,
     LogValue,
     antilog_dyadic,
@@ -19,7 +23,8 @@ from logladder import (
     log_product_check,
 )
 from logladder._backend import kernels
-from logladder.engine import _lowest_terms
+from logladder.engine import _from_split, _lowest_terms
+from logladder.ladder import MAX_DEPTH
 from logladder.errors import (
     BadBaseError,
     CharacteristicOverflowError,
@@ -27,6 +32,13 @@ from logladder.errors import (
     LevelOutOfRangeError,
     NonPositiveInputError,
 )
+
+
+def _true_log(y, base):
+    """log_base(y) to 60 digits, from the exact values of both floats."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return Decimal(y).ln() / Decimal(base).ln()
 
 
 def _halving_lowest_terms(k, n):
@@ -102,6 +114,24 @@ class TestLogDyadic:
             _, _, residual = kernels.log_split(y, 10.0, rungs)
             assert 1.0 <= residual < rungs[-1]
 
+    def test_two_product_is_exact_to_the_float_range_ends(self):
+        # the characteristic search rests on p + e == a * b exactly; near
+        # the top of the range the split needs its 2^-64 scaling
+        top = 1.7976931348623157e308
+        pairs = [(1.3407807929942596e154, 1.3407807929942596e154),
+                 (top, 0.75), (1e300, 1e-300), (1.5 * 2.0 ** 995, 1e8),
+                 (1e300, 5e-324), (top, 2.0 ** -60)]
+        rng = random.Random(12)
+        while len(pairs) < 3000:
+            a = math.exp(rng.uniform(-690.0, 709.7))
+            b = math.exp(rng.uniform(-690.0, 689.0))
+            if 2.0 ** -900 < a * b <= top:
+                pairs.append((a, b))
+        for a, b in pairs:
+            p, e = _kernels_py._two_prod(a, b)
+            assert Fraction(p) + Fraction(e) == Fraction(a) * Fraction(b), \
+                (a, b)
+
     def test_undershoot_never_overshoot(self, ladder10_40):
         rng = random.Random(7)
         for _ in range(200):
@@ -115,21 +145,26 @@ class TestLogDyadic:
             with pytest.raises(NonPositiveInputError):
                 log_dyadic(bad, ladder10_40)
 
-    def test_characteristic_bound_edges(self):
-        # repeated division leaves int_pow(1.5, 401) at characteristic 400,
-        # so the check before the loop must not refuse it
-        top = kernels.int_pow(1.5, 401)
-        assert log_dyadic(top, build_ladder(1.5, 40)).characteristic == 400
-        ladder = build_ladder(1.0000001, 40)
-        assert log_dyadic(1.0000399, ladder).characteristic == 398
-        assert log_dyadic(1.0 / 1.0000399, ladder).characteristic == -399
-        for y in (1.0000403, 1.0 / 1.0000401, 1.0 / 1.0000403, 2.0, 0.5):
-            with pytest.raises(CharacteristicOverflowError):
-                log_dyadic(y, ladder)
+    def test_exact_power_edges(self):
+        # int_pow(b, n), its reciprocal, and the ulps either side, over the
+        # whole float range: c + k/2^d lands within the oracle bound of n
+        for base in (1.5, 2.0, 10.0, 1e6):
+            ladder = build_ladder(base, 40)
+            top = int(709.0 / math.log(base))
+            for n in range(-top, top + 1, max(1, top // 150)):
+                p = (kernels.int_pow(base, n) if n >= 0
+                     else 1.0 / kernels.int_pow(base, -n))
+                for y in (math.nextafter(p, 0.0), p,
+                          math.nextafter(p, math.inf)):
+                    x = log_dyadic(y, ladder)
+                    m = x.mantissa_exponent
+                    steps = ((x.characteristic - n) << 40) + (
+                        m.numerator << (40 - m.level))
+                    assert abs(steps) <= 3, (base, n, y)
 
     @pytest.mark.parametrize("backend", ["compiled", "python"])
-    def test_far_out_of_range_fails_before_looping(self, backend):
-        # about 6.9e9 divisions if the bound were checked after the loop
+    def test_far_out_of_range_log_is_fast_and_correct(self, backend):
+        # c is about 6.9e9: one division per unit would never finish
         if backend == "compiled":
             pytest.importorskip("logladder._kernels",
                                 reason="compiled kernels not built")
@@ -138,15 +173,30 @@ class TestLogDyadic:
                    PYTHONPATH=os.pathsep.join(
                        p for p in (src, os.environ.get("PYTHONPATH")) if p))
         code = ("from logladder import build_ladder, log_dyadic\n"
-                "from logladder.errors import CharacteristicOverflowError\n"
-                "try:\n"
-                "    log_dyadic(1e300, build_ladder(1.0000001, 40))\n"
-                "except CharacteristicOverflowError:\n"
-                "    raise SystemExit(0)\n"
-                "raise SystemExit(1)\n")
+                "x = log_dyadic(1e300, build_ladder(1.0000001, 40))\n"
+                "m = x.mantissa_exponent\n"
+                "print(x.characteristic, m.numerator, m.level)\n")
         proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              timeout=10)
-        assert proc.returncode == 0
+                              timeout=10, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        c, k, level = (int(v) for v in proc.stdout.split())
+        true = _true_log(1e300, 1.0000001)
+        assert c == int(true) == 6907755620
+        # near 1 the rounding of the rungs dominates: about 2^-40 plus
+        # 2^-53 / ln(b) per step of the walk (ROADMAP item 2)
+        bound = 2.0 ** -40 + 42 * 2.0 ** -53 / 1e-7
+        assert abs(true - c - Decimal(k) / (1 << level)) <= Decimal(bound)
+
+    @pytest.mark.parametrize("y", [5e-324, 1.7976931348623157e308])
+    def test_base_nearest_one_at_the_float_edges(self, y):
+        # c near +-3.3e18 takes 61 squarings, not 3e18 divisions
+        ladder = build_ladder(1.0 + 2.0 ** -52, 40)
+        t0 = time.perf_counter()
+        x = log_dyadic(y, ladder)
+        assert time.perf_counter() - t0 < 1.0
+        # every rung below the base rounds to 1.0, so only c is meaningful;
+        # the double-double powers keep it within one of the true floor
+        assert abs(_true_log(y, ladder.base) - x.characteristic) < 2
 
 
 class TestAntilogDyadic:
@@ -192,6 +242,43 @@ class TestAntilogDyadic:
                               ladder10_40) == 5e-324
         with pytest.raises(OverflowError):
             antilog_dyadic(-330.0, ladder10_40)  # below every float
+
+    def test_overflow_and_underflow_are_typed(self, ladder10_40):
+        with pytest.raises(CharacteristicOverflowError, match="underflows"):
+            antilog_dyadic(-330.0, ladder10_40)
+        # 10^308 is finite; times 10^0.5 it is not
+        with pytest.raises(CharacteristicOverflowError, match="overflows"):
+            antilog_dyadic(308.5, ladder10_40)
+        assert antilog_dyadic(308.0, ladder10_40) == pytest.approx(
+            1e308, rel=1e-12)
+
+    def test_any_finite_power_of_two(self):
+        ladder = build_ladder(2.0, 40)
+        bound = 3.0 * math.log(2.0) * 2.0 ** -40
+        for n in (500, 1023, -1000, -1074):
+            assert abs(antilog_dyadic(float(n), ladder) / 2.0 ** n - 1.0) \
+                <= bound
+        for y in (1e200, 1e-300, 1.7976931348623157e308,
+                  2.2250738585072014e-308):
+            back = antilog_dyadic(log_dyadic(y, ladder), ladder)
+            assert abs(back / y - 1.0) <= bound
+
+    def test_exponent_past_the_kernel_integers(self, monkeypatch):
+        ladder = build_ladder(2.0, 40)
+
+        class NoKernels:
+            def __getattr__(self, name):
+                raise AssertionError(f"kernel {name} called")
+
+        monkeypatch.setattr("logladder.engine.kernels", NoKernels())
+        for x in (1e300, -1e300, float(1 << 62), -float(1 << 62)):
+            with pytest.raises(CharacteristicOverflowError):
+                antilog_dyadic(x, ladder)
+        huge = LogValue(base=2.0, characteristic=1 << 70,
+                        mantissa_exponent=DyadicExponent(0, 0),
+                        error_bound=1.0)
+        with pytest.raises(CharacteristicOverflowError, match="overflows"):
+            antilog_dyadic(huge, ladder)
 
     def test_off_grid_rounds_ties_even(self, ladder10_20):
         # exactly between grid points 1/2^20 and 2/2^20: even numerator wins
@@ -283,6 +370,28 @@ class TestLogValueType:
         assert lv.characteristic == -1
         assert 0.0 <= lv.mantissa_exponent.value() < 1.0
         assert lv.value() == lv.characteristic + lv.mantissa_exponent.value()
+
+    @staticmethod
+    def _both_constructors(base, c, k, depth):
+        fast = _from_split(base, c, k, depth)
+        checked = LogValue(base=base, characteristic=c,
+                           mantissa_exponent=DyadicExponent(k, depth),
+                           error_bound=1.0 / (1 << depth))
+        assert fast == checked
+        assert repr(fast) == repr(checked)
+        assert hash(fast) == hash(checked)
+
+    def test_private_constructor_every_numerator_of_small_depths(self):
+        for depth in range(9):
+            for k in range(1 << depth):
+                self._both_constructors(10.0, -3, k, depth)
+
+    @given(st.integers(min_value=0, max_value=MAX_DEPTH), st.data(),
+           st.integers(min_value=-(1 << 62), max_value=1 << 62),
+           st.floats(min_value=1.0, exclude_min=True, allow_infinity=False))
+    def test_private_constructor_matches_public(self, depth, data, c, base):
+        k = data.draw(st.integers(min_value=0, max_value=(1 << depth) - 1))
+        self._both_constructors(base, c, k, depth)
 
     def test_rejects_mantissa_outside_unit_interval(self):
         with pytest.raises(LevelOutOfRangeError):

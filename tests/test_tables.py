@@ -13,7 +13,11 @@ from logladder import (
     lookup_antilog,
     multiply_via_logs,
 )
-from logladder.errors import LevelOutOfRangeError, OutOfRangeError
+from logladder.errors import (
+    CharacteristicOverflowError,
+    LevelOutOfRangeError,
+    OutOfRangeError,
+)
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +158,14 @@ class TestMultiplyViaLogs:
             assert detail.characteristic + detail.mantissa == detail.log_sum
 
 
+    def test_products_past_the_float_range_are_typed(self, table13,
+                                                     ladder10_40):
+        with pytest.raises(CharacteristicOverflowError, match="underflows"):
+            multiply_via_logs(1e-200, 1e-150, table13, ladder10_40)
+        with pytest.raises(CharacteristicOverflowError, match="overflows"):
+            multiply_via_logs(1e200, 1e150, table13, ladder10_40)
+
+
 class TestExports:
     def test_csv_golden_level2(self, ladder10_40):
         table = build_table(ladder10_40, 2)
@@ -194,6 +206,23 @@ class TestExports:
             "mantissa_exponent": 0.5,
             "value": table.values[2],
         }
+
+    @pytest.mark.parametrize("base", [10.0, 2.0, 1.5, 1e6])
+    def test_json_bytes_match_the_json_module(self, base):
+        # the hand-written rows against json.dumps(indent=2) of the fields
+        ladder = build_ladder(base, 40)
+        for level in range(17):
+            table = build_table(ladder, level)
+            want = json.dumps({
+                "base": table.base,
+                "level": table.level,
+                "built_from": table.built_from,
+                "entries": [
+                    {"mantissa_exponent": table.mantissa_of(k), "value": v}
+                    for k, v in enumerate(table.values)
+                ],
+            }, indent=2) + "\n"
+            assert table.to_json() == want, level
 
     def test_gnuplot_pairs(self, ladder10_40):
         table = build_table(ladder10_40, 2)

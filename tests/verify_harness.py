@@ -27,8 +27,6 @@ from logladder import (
     heron_sqrt,
     log_dyadic,
 )
-from logladder.engine import MAX_CHARACTERISTIC
-from logladder.errors import CharacteristicOverflowError
 
 SRC_ROOT = pathlib.Path(__file__).resolve().parent.parent / "src" / "logladder"
 
@@ -45,16 +43,10 @@ class UnknownOperationError(KeyError):
 
 @dataclass(frozen=True)
 class OracleReport:
-    """Worst error over the scored samples.
-
-    ``overflows`` counts samples whose characteristic lies outside
-    +/-MAX_CHARACTERISTIC: the library must reject them, and they are not
-    scored.
-    """
+    """Worst error over the samples; every sample is scored."""
 
     operation: str
     samples: int
-    overflows: int
     max_rel_error: float
     tolerance: float
     passed: bool
@@ -63,43 +55,33 @@ class OracleReport:
         return json.dumps({
             "operation": self.operation,
             "samples": self.samples,
-            "overflows": self.overflows,
             "max_rel_error": self.max_rel_error,
             "tolerance": self.tolerance,
             "passed": self.passed,
         })
 
 
-def _report(operation, samples, errors, tolerance,
-            overflows=0) -> OracleReport:
+def _report(operation, samples, errors, tolerance) -> OracleReport:
     worst = max(errors, default=0.0)
     return OracleReport(operation=operation, samples=samples,
-                        overflows=overflows, max_rel_error=worst,
-                        tolerance=tolerance, passed=worst <= tolerance)
+                        max_rel_error=worst, tolerance=tolerance,
+                        passed=worst <= tolerance)
 
 
 def _log_errors(rng, samples, error):
     """Score error(y, log, ladder) over y log-uniform in 1e-323..1e308.
 
-    The bases in LOG_BASES take turns.  A y whose characteristic is out of
-    range must raise CharacteristicOverflowError; it is counted, not
-    scored.  Returns (errors, overflows).
+    The bases in LOG_BASES take turns.  Every sample is scored: any error
+    log_dyadic raises, CharacteristicOverflowError included, propagates and
+    fails the oracle.
     """
     ladders = {base: build_ladder(base, 40) for base in LOG_BASES}
-    errors, overflows = [], 0
+    errors = []
     for i in range(samples):
         ladder = ladders[LOG_BASES[i % len(LOG_BASES)]]
         y = 10.0 ** rng.uniform(-323.0, 308.0)
-        try:
-            x = log_dyadic(y, ladder)
-        except CharacteristicOverflowError:
-            t = math.log(y) / math.log(ladder.base)
-            if -MAX_CHARACTERISTIC <= t < MAX_CHARACTERISTIC + 1:
-                raise
-            overflows += 1
-            continue
-        errors.append(error(y, x, ladder))
-    return errors, overflows
+        errors.append(error(y, log_dyadic(y, ladder), ladder))
+    return errors
 
 
 def oracle_compare(operation: str, samples: int, seed: int) -> OracleReport:
@@ -123,21 +105,20 @@ def oracle_compare(operation: str, samples: int, seed: int) -> OracleReport:
         return _report(operation, samples, errors, 1e-11)
 
     if operation == "log_dyadic":
-        errors, overflows = _log_errors(
+        errors = _log_errors(
             rng, samples, lambda y, x, ladder:
             abs(x.value() - math.log(y) / math.log(ladder.base)))
-        return _report(operation, samples, errors, 3.0 * 2.0 ** -40,
-                       overflows)
+        return _report(operation, samples, errors, 3.0 * 2.0 ** -40)
 
     if operation == "antilog_roundtrip":
         # The bound is 3 * ln(b) * 2^-40, so each error is scaled by
         # ln(10) / ln(b) and the base-10 figure holds for every base.
-        errors, overflows = _log_errors(
+        errors = _log_errors(
             rng, samples, lambda y, x, ladder:
             abs(antilog_dyadic(x, ladder) / y - 1.0)
             * math.log(10.0) / math.log(ladder.base))
         return _report(operation, samples, errors,
-                       3.0 * math.log(10.0) * 2.0 ** -40, overflows)
+                       3.0 * math.log(10.0) * 2.0 ** -40)
 
     if operation == "convert_base":
         ladder = build_ladder(10.0, 40)
