@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 
 import logladder
 from logladder import (
-    _kernels_py,
+    MAX_DEPTH,
     DyadicExponent,
     LogValue,
+    _kernels_py,
     antilog_dyadic,
     build_ladder,
     convert_base,
@@ -24,7 +25,6 @@ from logladder import (
 )
 from logladder._backend import kernels
 from logladder.engine import _from_split, _lowest_terms
-from logladder.ladder import MAX_DEPTH
 from logladder.errors import (
     BadBaseError,
     CharacteristicOverflowError,
