@@ -16,7 +16,8 @@ from . import __version__
 from ._backend import backend_name
 from .arith import heron_sqrt
 from .engine import (
-    _floor,
+    _split_exponent,
+    _times_power,
     antilog_dyadic,
     convert_base,
     log_dyadic,
@@ -49,12 +50,9 @@ def _resolve_depth(args) -> int:
     if not raw:
         return DEFAULT_DEPTH
     try:
-        depth = int(raw)
+        return int(raw)
     except ValueError:
         raise _UsageError(f"{DEPTH_ENV} must be an integer, got {raw!r}")
-    if not 0 <= depth <= MAX_DEPTH:
-        raise _UsageError(f"{DEPTH_ENV} must be in [0, {MAX_DEPTH}], got {depth}")
-    return depth
 
 
 def _positive_float(text: str) -> float:
@@ -75,7 +73,9 @@ def _digits(text: str) -> int:
     return n
 
 
-def _add_common(sub, depth_flag=True):
+def _add_common(sub, depth_flag=True, json_flag=True):
+    if json_flag:
+        sub.add_argument("--json", action="store_true")
     sub.add_argument("--digits", type=_digits, default=10,
                      help="significant digits for plain output (default 10)")
     if depth_flag:
@@ -91,6 +91,15 @@ def _emit(line: str) -> None:
 def _emit_json(payload) -> None:
     import json  # loaded only here: plain-text output never needs it
     _emit(json.dumps(payload))
+
+
+def _result(args, value: float, payload: dict) -> int:
+    """Print one result: the payload under --json, else value to --digits."""
+    if args.json:
+        _emit_json(payload)
+    else:
+        _emit(format_number(value, args.digits))
+    return 0
 
 
 # ---------------------------------------------------------------- sqrt
@@ -123,52 +132,36 @@ def _cmd_sqrt(args) -> int:
 def _cmd_log(args) -> int:
     ladder = build_ladder(args.base, _resolve_depth(args))
     lv = log_dyadic(args.y, ladder)
-    if args.json:
-        _emit_json({
-            "base": lv.base,
-            "characteristic": lv.characteristic,
-            "mantissa_numerator": lv.mantissa_exponent.numerator,
-            "mantissa_level": lv.mantissa_exponent.level,
-            "value": lv.value(),
-            "error_bound": lv.error_bound,
-        })
-        return 0
-    _emit(format_number(lv.value(), args.digits))
-    return 0
+    return _result(args, lv.value(), {
+        "base": lv.base,
+        "characteristic": lv.characteristic,
+        "mantissa_numerator": lv.mantissa_exponent.numerator,
+        "mantissa_level": lv.mantissa_exponent.level,
+        "value": lv.value(),
+        "error_bound": lv.error_bound,
+    })
 
 
 def _cmd_antilog(args) -> int:
     ladder = build_ladder(args.base, _resolve_depth(args))
-    if args.table_level is not None:
-        table = build_table(ladder, args.table_level)
-        c = _floor(args.x)
-        looked, grid_error = lookup_antilog(table, args.x - c)
-        # (1/P) * looked, not looked / P: the two round differently
-        value = antilog_dyadic(float(c), ladder) * looked
-        if args.json:
-            _emit_json({"value": value, "table_value": looked,
-                        "characteristic": c, "grid_error": grid_error})
-            return 0
-        _emit(format_number(value, args.digits))
-        return 0
-    value = antilog_dyadic(args.x, ladder)
-    if args.json:
-        _emit_json({"value": value})
-        return 0
-    _emit(format_number(value, args.digits))
-    return 0
+    if args.table_level is None:
+        value = antilog_dyadic(args.x, ladder)
+        return _result(args, value, {"value": value})
+    table = build_table(ladder, args.table_level)
+    c, mantissa = _split_exponent(args.x, ladder.base)
+    looked, grid_error = lookup_antilog(table, mantissa)
+    value = _times_power(looked, ladder.base, c)
+    return _result(args, value, {"value": value, "table_value": looked,
+                                 "characteristic": c,
+                                 "grid_error": grid_error})
 
 
 def _cmd_convert_base(args) -> int:
     ladder = build_ladder(args.from_base, _resolve_depth(args))
     lv = log_dyadic(args.y, ladder)
     value = convert_base(lv, args.to, ladder)
-    if args.json:
-        _emit_json({"value": value, "from_base": args.from_base,
-                    "to_base": args.to, "source_log": lv.value()})
-        return 0
-    _emit(format_number(value, args.digits))
-    return 0
+    return _result(args, value, {"value": value, "from_base": args.from_base,
+                                 "to_base": args.to, "source_log": lv.value()})
 
 
 # --------------------------------------------------------------- radix
@@ -270,12 +263,8 @@ def _cmd_discover_e(args) -> int:
                                 args.level, ladder)
         else:
             value = slope_log10(args.tangent_at, args.level, ladder).slope
-        if args.json:
-            _emit_json({"slope": value, "x": args.tangent_at,
-                        "level": args.level})
-            return 0
-        _emit(format_number(value, args.digits))
-        return 0
+        return _result(args, value, {"slope": value, "x": args.tangent_at,
+                                     "level": args.level})
     if args.sequence:
         seq = limit_sequence(args.level, ladder)
         if args.json:
@@ -286,20 +275,12 @@ def _cmd_discover_e(args) -> int:
             _emit(f"{n} {format_number(t, args.digits)}")
         return 0
     e_value = discover_e(args.level, ladder)
-    if args.json:
-        _emit_json({"e": e_value, "level": args.level})
-        return 0
-    _emit(format_number(e_value, args.digits))
-    return 0
+    return _result(args, e_value, {"e": e_value, "level": args.level})
 
 
 def _cmd_area_ln(args) -> int:
     value = riemann_ln(args.x, args.steps)
-    if args.json:
-        _emit_json({"value": value, "steps": args.steps})
-        return 0
-    _emit(format_number(value, args.digits))
-    return 0
+    return _result(args, value, {"value": value, "steps": args.steps})
 
 
 # -------------------------------------------------------------- parser
@@ -320,14 +301,12 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iter", type=int, default=64)
     p.add_argument("--trace", action="store_true",
                    help="print every iterate, not just the result")
-    p.add_argument("--json", action="store_true")
     _add_common(p, depth_flag=False)
     p.set_defaults(func=_cmd_sqrt)
 
     p = sub.add_parser("log", help="dyadic logarithm")
     p.add_argument("y", type=_positive_float)
     p.add_argument("--base", type=_positive_float, default=10.0)
-    p.add_argument("--json", action="store_true")
     _add_common(p)
     p.set_defaults(func=_cmd_log)
 
@@ -336,7 +315,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--base", type=_positive_float, default=10.0)
     p.add_argument("--table-level", type=int, default=None,
                    help="look the mantissa up in a level-N table instead")
-    p.add_argument("--json", action="store_true")
     _add_common(p)
     p.set_defaults(func=_cmd_antilog)
 
@@ -345,7 +323,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--to", type=_positive_float, required=True)
     p.add_argument("--from", dest="from_base", type=_positive_float,
                    default=10.0)
-    p.add_argument("--json", action="store_true")
     _add_common(p)
     p.set_defaults(func=_cmd_convert_base)
 
@@ -354,7 +331,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("value")
     p.add_argument("--base", type=int, default=10)
     p.add_argument("--frac-digits", type=int, default=0)
-    _add_common(p, depth_flag=False)
     p.set_defaults(func=_cmd_radix)
 
     p = sub.add_parser("table", help="emit an antilog table")
@@ -368,7 +344,7 @@ def _parser() -> argparse.ArgumentParser:
                            help="plain x,y pairs of the log curve")
     fmt_group.add_argument("--rungs", action="store_true",
                            help="print the ladder rungs instead of a table")
-    _add_common(p)
+    _add_common(p, json_flag=False)
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("mul", help="multiply by adding logarithms")
@@ -381,7 +357,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--base", type=_positive_float, default=10.0)
     p.add_argument("--check", action="store_true",
                    help="also print both sides of the product law")
-    p.add_argument("--json", action="store_true")
     _add_common(p)
     p.set_defaults(func=_cmd_mul)
 
@@ -394,14 +369,12 @@ def _parser() -> argparse.ArgumentParser:
                    help="print the slope of the log curve at x instead")
     p.add_argument("--tangent-base", type=_positive_float, default=None,
                    help="base for --tangent-at (default 10)")
-    p.add_argument("--json", action="store_true")
     _add_common(p)
     p.set_defaults(func=_cmd_discover_e)
 
     p = sub.add_parser("area-ln", help="ln(x) as the area under 1/t")
     p.add_argument("x", type=_positive_float)
     p.add_argument("--steps", type=int, default=4096)
-    p.add_argument("--json", action="store_true")
     _add_common(p, depth_flag=False)
     p.set_defaults(func=_cmd_area_ln)
 

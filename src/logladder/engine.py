@@ -4,7 +4,9 @@ A logarithm here is a characteristic (whole power of the base) plus a
 mantissa exponent k/2^depth found greedily: walk the ladder rungs from
 coarse to fine and divide each one out of the residual whenever it fits.
 After rung j the residual lies in [1, rungs[j]), so the finished mantissa
-undershoots the true log by less than 2^-depth and never overshoots.
+lies less than 2^-depth below the true log, up to the rounding of the
+rungs and of the walk's own divisions (which can put it a small fraction
+of a grid step above).
 
 The antilog runs the same ladder in reverse: multiply together the rungs
 named by the exponent's bits.
@@ -118,11 +120,25 @@ def _from_split(base: float, c: int, k: int, depth: int) -> LogValue:
     return v
 
 
-def _floor(x: float) -> int:
-    c = int(x)
+def _split_exponent(x: float, base: float) -> tuple[int, float]:
+    """x as a whole characteristic c plus the rest x - c in [0, 1).
+
+    The one check of every exponent before it reaches a kernel: raises
+    CharacteristicOverflowError for a non-finite x and for |c| >= 2^62.
+    An int x is its own characteristic.
+    """
+    try:
+        c = int(x)
+    except (OverflowError, ValueError):  # inf and nan have no whole part
+        raise CharacteristicOverflowError(
+            f"antilog exponent must be finite, got {x!r}") from None
     if c > x:
         c -= 1
-    return c
+    if not -_CHARACTERISTIC_LIMIT < c < _CHARACTERISTIC_LIMIT:
+        what = "overflows" if c > 0 else "underflows"
+        raise CharacteristicOverflowError(
+            f"scaling by {base!r}^c with |c| >= 2^62 {what} the float range")
+    return c, x - c
 
 
 def _times_power(v: float, base: float, c: int) -> float:
@@ -184,25 +200,15 @@ def antilog_dyadic(x: "LogValue | float", ladder: RootLadder) -> float:
         if m.level > ladder.depth:
             raise DepthMismatchError(
                 f"exponent level {m.level} exceeds ladder depth {ladder.depth}")
-        c = x.characteristic
+        c, _ = _split_exponent(x.characteristic, ladder.base)
         k, level = m.numerator, m.level
     else:
-        x = float(x)
-        if not is_finite(x):
-            raise CharacteristicOverflowError(
-                f"antilog exponent must be finite, got {x!r}")
-        c = _floor(x)
-        k = round((x - c) * (1 << ladder.depth))
+        c, rest = _split_exponent(float(x), ladder.base)
+        k = round(rest * (1 << ladder.depth))
         level = ladder.depth
         if k == 1 << ladder.depth:
             c += 1
             k = 0
-    # checked before any kernel call: no kernel sees an integer past its range
-    if not -_CHARACTERISTIC_LIMIT < c < _CHARACTERISTIC_LIMIT:
-        what = "overflows" if c > 0 else "underflows"
-        raise CharacteristicOverflowError(
-            f"scaling by {ladder.base!r}^c with |c| >= 2^62 {what} the "
-            "float range")
     v = kernels.mantissa_product(k, level, ladder.rungs)
     return _times_power(v, ladder.base, c)
 

@@ -13,7 +13,7 @@ entries).
 
 from ._backend import kernels
 from ._record import Record, set_field
-from .engine import LogValue, _floor, _times_power, log_dyadic
+from .engine import LogValue, _split_exponent, _times_power, log_dyadic
 from .errors import LevelOutOfRangeError, OutOfRangeError
 from .ladder import RootLadder
 
@@ -159,8 +159,7 @@ def multiply_via_logs(y1: float, y2: float, table: LogTable,
     x1 = log_dyadic(y1, ladder)
     x2 = log_dyadic(y2, ladder)
     log_sum = x1.value() + x2.value()
-    c = _floor(log_sum)
-    mantissa = log_sum - c
+    c, mantissa = _split_exponent(log_sum, ladder.base)
     value, grid_error = lookup_antilog(table, mantissa)
     estimate = _times_power(value, ladder.base, c)
     detail = MultiplyDetail(

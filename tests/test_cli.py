@@ -1,4 +1,6 @@
 import json
+import math
+import random
 
 import pytest
 
@@ -62,6 +64,12 @@ class TestLog:
         _, out, _ = run(capsys, "log", "2", "--digits", "12")
         assert out == "0.301029205322\n"
 
+    def test_env_var_depth_checked_like_the_flag(self, capsys, monkeypatch):
+        flag = run(capsys, "log", "2", "--depth", "99")
+        monkeypatch.setenv("MELTDOWN_LOG_DEPTH", "99")
+        assert run(capsys, "log", "2") == flag == (
+            3, "", "error: depth must be in [0, 48], got 99\n")
+
     def test_bad_env_var_is_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("MELTDOWN_LOG_DEPTH", "many")
         code, _, err = run(capsys, "log", "2")
@@ -82,6 +90,37 @@ class TestAntilog:
         code, out, _ = run(capsys, "antilog", "7.8894", "--table-level", "13")
         assert code == 0
         assert out == "77518310.16\n"
+
+    def test_table_level_on_the_grid_matches_the_rungs(self, capsys):
+        # a table row is the product of the rungs the exponent names, so on
+        # the table's grid both paths scale the same value the same way
+        rng = random.Random(7)
+        for _ in range(400):
+            base = rng.choice((10.0, 2.0, 1.5, 1e6))
+            level = rng.randint(0, 16)
+            span = int(300 / math.log10(base))
+            x = (rng.randint(-span, span)
+                 + rng.randrange(1 << level) / (1 << level))
+            argv = ("antilog", "--base", repr(base), "--json")
+            plain = json.loads(run(capsys, *argv, "--", repr(x))[1])["value"]
+            table = json.loads(run(capsys, *argv, "--table-level", str(level),
+                                   "--", repr(x))[1])["value"]
+            assert table.hex() == plain.hex(), (base, level, x)
+
+    @pytest.mark.parametrize("x, message", [
+        ("308.5", "scaling by 10.0^308 overflows the float range"),
+        ("-330", "scaling by 10.0^-330 underflows the float range"),
+        ("nan", "antilog exponent must be finite, got nan"),
+        ("inf", "antilog exponent must be finite, got inf"),
+        ("1e300", "scaling by 10.0^c with |c| >= 2^62 overflows the float "
+                  "range"),
+        ("-1e300", "scaling by 10.0^c with |c| >= 2^62 underflows the float "
+                   "range"),
+    ])
+    def test_table_level_errors_are_the_engines(self, capsys, x, message):
+        want = (3, "", f"error: {message}\n")
+        assert run(capsys, "antilog", "--table-level", "8", "--", x) == want
+        assert run(capsys, "antilog", "--", x) == want
 
 
 class TestConvertBase:
@@ -108,6 +147,11 @@ class TestRadix:
 
     def test_negative_sign_passthrough(self, capsys):
         assert run(capsys, "radix", "to", "-15", "--base", "3")[1] == "-120\n"
+
+    def test_takes_no_digits_option(self, capsys):
+        code, out, _ = run(capsys, "radix", "to", "5", "--base", "2",
+                           "--digits", "3")
+        assert (code, out) == (2, "")
 
     def test_bad_digit_is_domain_error(self, capsys):
         code, _, _ = run(capsys, "radix", "from", "29", "--base", "3")

@@ -229,8 +229,8 @@ def test_corpus_lists_every_case():
 
 @pytest.mark.parametrize(
     "record", RECORDS,
-    ids=[" ".join(f"{k}={v!r}" for k, v in r["env"].items())
-         + " ".join(r["argv"]) for r in RECORDS])
+    ids=[" ".join([*(f"{k}={v!r}" for k, v in r["env"].items()),
+                   *r["argv"]]) for r in RECORDS])
 def test_golden(record):
     assert invoke(record["argv"], record["env"]) == record
 
