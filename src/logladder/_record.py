@@ -1,28 +1,24 @@
 """Immutable slotted records: the common base of the value classes.
 
 A record class lists its fields in ``__slots__`` and sets them in its own
-``__init__`` with ``set_field`` (validating there, once).  This base
-supplies the rest: assignment and deletion raise AttributeError, equality
-is field by field between instances of the same class, the hash is that
-of the field tuple, and the repr is ``Name(field=value, ...)``.  Pickling
-and copying rebuild an instance by calling the class with its field
-values.
+``__init__`` (validating there, once) through the slot setters that
+``field_setters`` returns for it.  This base supplies the rest: assignment
+and deletion raise AttributeError, equality is field by field between
+instances of the same class, the hash is that of the field tuple, and the
+repr is ``Name(field=value, ...)``.  Pickling and copying rebuild an
+instance by calling the class with its field values.
 
 The fields are read from the ``__slots__`` of the instance's class, so a
 record class is never subclassed to add fields.
 """
 
 
-# What a record's __init__ sets its fields with; Record.__setattr__ refuses.
-set_field = object.__setattr__
-
-
 def field_setters(cls) -> tuple:
     """One setter per field of a record class, in ``__slots__`` order.
 
-    Each takes (instance, value) and writes the slot descriptor directly:
-    like ``set_field`` it skips the class's checks, and it skips the lookup
-    by name too, for constructors on a hot path.
+    Each takes (instance, value) and writes the slot descriptor directly,
+    past ``Record.__setattr__`` (which refuses every assignment) and without
+    a lookup by name: this is how a record's ``__init__`` sets its fields.
     """
     return tuple([getattr(cls, name).__set__ for name in cls.__slots__])
 

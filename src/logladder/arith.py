@@ -7,7 +7,7 @@ the convergence.
 """
 
 from ._backend import kernels
-from ._record import Record, set_field
+from ._record import Record, field_setters
 from .errors import NoConvergenceError, NonPositiveInputError
 
 DEFAULT_REL_TOL = 1e-13
@@ -33,12 +33,16 @@ class SqrtTrace(Record):
     def __init__(self, input: float, initial_guess: float,
                  iterations: tuple[tuple[float, float], ...], result: float,
                  converged: bool, steps_used: int):
-        set_field(self, "input", input)
-        set_field(self, "initial_guess", initial_guess)
-        set_field(self, "iterations", iterations)
-        set_field(self, "result", result)
-        set_field(self, "converged", converged)
-        set_field(self, "steps_used", steps_used)
+        _set_input(self, input)
+        _set_initial_guess(self, initial_guess)
+        _set_iterations(self, iterations)
+        _set_result(self, result)
+        _set_converged(self, converged)
+        _set_steps_used(self, steps_used)
+
+
+(_set_input, _set_initial_guess, _set_iterations, _set_result,
+ _set_converged, _set_steps_used) = field_setters(SqrtTrace)
 
 
 def default_guess(x: float) -> float:
@@ -86,9 +90,8 @@ def heron_sqrt(x: float,
         raise NoConvergenceError(
             f"square root of {x!r} did not meet rel_tol={rel_tol!r} "
             f"within {max_iterations} steps")
-    return SqrtTrace(input=float(x), initial_guess=float(initial_guess),
-                     iterations=tuple(pairs), result=result,
-                     converged=True, steps_used=len(pairs))
+    return SqrtTrace(float(x), float(initial_guess), tuple(pairs), result,
+                     True, len(pairs))
 
 
 def int_pow(b: float, m: int) -> float:

@@ -43,6 +43,17 @@ class _UsageError(Exception):
     pass
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: it reports arguments it does not know under
+    its own usage and prog, not the top-level ones."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def _resolve_depth(args) -> int:
     if getattr(args, "depth", None) is not None:
         return args.depth
@@ -292,7 +303,8 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"logladder {__version__} "
                                 f"({backend_name()} kernels)")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_CommandParser)
 
     p = sub.add_parser("sqrt", help="square root by divide-and-average")
     p.add_argument("x", type=_positive_float)

@@ -13,7 +13,7 @@ named by the exponent's bits.
 """
 
 from ._backend import kernels
-from ._record import Record, field_setters, set_field
+from ._record import Record, field_setters
 from .arith import is_finite
 from .errors import (
     BadBaseError,
@@ -28,6 +28,7 @@ from .ladder import MAX_DEPTH, RootLadder
 # finite nonzero float: even the base nearest 1, 1 + 2^-52, has
 # base^(2^62) near e^1024.  Below it c also fits the kernels' C integers.
 _CHARACTERISTIC_LIMIT = 1 << 62
+_INF = float("inf")
 
 
 def _lowest_terms(k: int, n: int) -> tuple[int, int]:
@@ -57,8 +58,8 @@ class DyadicExponent(Record):
             raise LevelOutOfRangeError(
                 f"dyadic level must be in [0, {MAX_DEPTH}], got {level!r}")
         numerator, level = _lowest_terms(numerator, level)
-        set_field(self, "numerator", numerator)
-        set_field(self, "level", level)
+        _set_numerator(self, numerator)
+        _set_level(self, level)
 
     def value(self) -> float:
         """Exact float value (division by a power of two is exact)."""
@@ -84,10 +85,10 @@ class LogValue(Record):
         if not 0.0 < error_bound <= 1.0 / (1 << level):
             raise LevelOutOfRangeError(
                 f"error bound {error_bound!r} inconsistent with level {level}")
-        set_field(self, "base", base)
-        set_field(self, "characteristic", characteristic)
-        set_field(self, "mantissa_exponent", mantissa_exponent)
-        set_field(self, "error_bound", error_bound)
+        _set_base(self, base)
+        _set_characteristic(self, characteristic)
+        _set_mantissa(self, mantissa_exponent)
+        _set_bound(self, error_bound)
 
     def value(self) -> float:
         return self.characteristic + self.mantissa_exponent.value()
@@ -107,11 +108,17 @@ def _from_split(base: float, c: int, k: int, depth: int) -> LogValue:
     The kernel returns 0 <= k < 2^depth on a ladder whose depth is in
     [0, MAX_DEPTH], which is everything the public constructors check; the
     fields are the ones they would set (tests hold the two paths equal).
+    As k < 2^depth, k holds fewer than depth factors of 2, so its lowest
+    terms need no cap on the shift (unlike ``_lowest_terms``).
     """
-    numerator, level = _lowest_terms(k, depth)
     m = _new(DyadicExponent)
-    _set_numerator(m, numerator)
-    _set_level(m, level)
+    if k:
+        shift = (k & -k).bit_length() - 1
+        _set_numerator(m, k >> shift)
+        _set_level(m, depth - shift)
+    else:
+        _set_numerator(m, 0)
+        _set_level(m, 0)
     v = _new(LogValue)
     _set_base(v, base)
     _set_characteristic(v, c)
@@ -151,7 +158,7 @@ def _times_power(v: float, base: float, c: int) -> float:
         r = kernels.int_pow(base, c) * v
     else:
         divisor = kernels.int_pow(base, -c)
-        if is_finite(divisor):
+        if divisor < _INF:
             r = v / divisor
         else:
             # base^-c overflows, yet v / base^-c can still be a tiny or
@@ -159,7 +166,7 @@ def _times_power(v: float, base: float, c: int) -> float:
             half = -c // 2
             r = (v / kernels.int_pow(base, -c - half)
                  / kernels.int_pow(base, half))
-    if not (r > 0.0) or not is_finite(r):
+    if not 0.0 < r < _INF:
         what = "overflows" if c > 0 else "underflows"
         raise CharacteristicOverflowError(
             f"scaling by {base!r}^{c} {what} the float range")
@@ -177,7 +184,7 @@ def log_dyadic(y: float, ladder: RootLadder) -> LogValue:
     logarithms do not exist in the real numbers this library lives in.
     """
     y = float(y)
-    if not (y > 0.0) or not is_finite(y):
+    if not 0.0 < y < _INF:
         raise NonPositiveInputError(
             f"logarithm needs a positive finite number, got {y!r}")
     c, k, _residual = kernels.log_split(y, ladder.base, ladder.rungs)
@@ -218,13 +225,22 @@ def convert_base(x: LogValue, new_base: float, ladder_q: RootLadder) -> float:
 
     ``x`` must have been computed on ``ladder_q``'s base q; the divisor
     log_q(p) is computed on the same ladder, so no base-p ladder is needed.
+    The divisor is read from the kernel as c + k * 2^-depth, the value of
+    ``log_dyadic(new_base, ladder_q)`` without building that record (k and
+    the power of two are exact, so the sum rounds the same way).
     """
     if x.base != ladder_q.base:
         raise BadBaseError(
             f"value is base {x.base!r} but ladder is base {ladder_q.base!r}")
     if not (new_base > 1.0) or not is_finite(new_base):
         raise BadBaseError(f"target base must be finite and > 1, got {new_base!r}")
-    return x.value() / log_dyadic(new_base, ladder_q).value()
+    p = float(new_base)
+    if p == _INF:
+        # a Decimal or Fraction beyond the float range passes the check
+        # above and rounds to inf here; log_dyadic refuses it
+        log_dyadic(p, ladder_q)
+    c, k, _residual = kernels.log_split(p, ladder_q.base, ladder_q.rungs)
+    return x.value() / (c + k * _GRID[ladder_q.depth])
 
 
 def log_product_check(y1: float, y2: float,

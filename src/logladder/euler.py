@@ -11,7 +11,7 @@ numerically with nothing but arithmetic.
 """
 
 from ._backend import kernels
-from ._record import Record, set_field
+from ._record import Record, field_setters
 from .arith import is_finite
 from .engine import antilog_dyadic, log_dyadic
 from .errors import (
@@ -38,20 +38,27 @@ class SlopeEstimate(Record):
 
     def __init__(self, base: float, x: float, ladder_level: int,
                  epsilon: float, slope: float):
-        set_field(self, "base", base)
-        set_field(self, "x", x)
-        set_field(self, "ladder_level", ladder_level)
-        set_field(self, "epsilon", epsilon)
-        set_field(self, "slope", slope)
+        _set_base(self, base)
+        _set_x(self, x)
+        _set_ladder_level(self, ladder_level)
+        _set_epsilon(self, epsilon)
+        _set_slope(self, slope)
+
+
+_set_base, _set_x, _set_ladder_level, _set_epsilon, _set_slope = \
+    field_setters(SlopeEstimate)
 
 
 def _check_level(n: int, ladder: RootLadder, minimum: int) -> None:
     if ladder.base != 10.0:
         raise BadBaseError(
             f"slope readings need a base-10 ladder, got base {ladder.base!r}")
-    if not minimum <= n <= ladder.depth:
+    if not n >= minimum:
         raise LevelOutOfRangeError(
-            f"level must be in [{minimum}, {ladder.depth}], got {n!r}")
+            f"level must be at least {minimum}, got {n!r}")
+    if n > ladder.depth:
+        raise LevelOutOfRangeError(
+            f"level {n!r} exceeds the ladder depth {ladder.depth}")
 
 
 def slope_log10(x: float, n: int, ladder10: RootLadder) -> SlopeEstimate:
@@ -62,8 +69,7 @@ def slope_log10(x: float, n: int, ladder10: RootLadder) -> SlopeEstimate:
     _check_level(n, ladder10, MIN_SLOPE_LEVEL)
     eps = x * rung_epsilon(ladder10, n)
     slope = (1.0 / (1 << n)) / eps
-    return SlopeEstimate(base=10.0, x=x, ladder_level=n,
-                         epsilon=eps, slope=slope)
+    return SlopeEstimate(10.0, x, n, eps, slope)
 
 
 def limit_sequence(n_max: int,

@@ -5,7 +5,7 @@ skeleton under the log engine, the slope estimates and the antilog tables.
 """
 
 from ._backend import kernels
-from ._record import Record, set_field
+from ._record import Record, field_setters
 from .arith import DEFAULT_MAX_ITERATIONS, DEFAULT_REL_TOL, is_finite
 from .errors import BadBaseError, DepthOutOfRangeError, IndexOutOfRangeError
 
@@ -27,10 +27,13 @@ class RootLadder(Record):
 
     def __init__(self, base: float, depth: int, rungs: tuple[float, ...],
                  rel_tol_used: float):
-        set_field(self, "base", base)
-        set_field(self, "depth", depth)
-        set_field(self, "rungs", rungs)
-        set_field(self, "rel_tol_used", rel_tol_used)
+        _set_base(self, base)
+        _set_depth(self, depth)
+        _set_rungs(self, rungs)
+        _set_rel_tol_used(self, rel_tol_used)
+
+
+_set_base, _set_depth, _set_rungs, _set_rel_tol_used = field_setters(RootLadder)
 
 
 def build_ladder(base: float, depth: int,
@@ -52,8 +55,7 @@ def build_ladder(base: float, depth: int,
         # unreachable for sane tolerances; surfaced for honesty
         raise DepthOutOfRangeError(
             f"rung {len(rungs)} of base {base!r} failed to converge")
-    return RootLadder(base=float(base), depth=depth, rungs=tuple(rungs),
-                      rel_tol_used=rel_tol)
+    return RootLadder(float(base), depth, tuple(rungs), rel_tol)
 
 
 def rung_epsilon(ladder: RootLadder, j: int) -> float:

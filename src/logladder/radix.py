@@ -4,7 +4,7 @@ Digits are stored most significant first, the way numerals are written.
 Rendering uses 0-9 then A-Z, so base 16 looks like ordinary hex.
 """
 
-from ._record import Record, set_field
+from ._record import Record, field_setters
 from .errors import BadRadixError, DigitOutOfRangeError, OutOfRangeError
 
 MIN_BASE = 2
@@ -40,8 +40,8 @@ class RadixNumeral(Record):
                     f"digit {d!r} out of range for base {base}")
         if len(digits) > 1 and digits[0] == 0:
             raise DigitOutOfRangeError("leading zero digit")
-        set_field(self, "base", base)
-        set_field(self, "digits", digits)
+        _set_base(self, base)
+        _set_digits(self, digits)
 
     def __str__(self) -> str:
         return "".join(DIGIT_ALPHABET[d] for d in self.digits)
@@ -68,6 +68,9 @@ class RadixNumeral(Record):
         if not 0 <= i < len(self.digits):
             return 0
         return self.digits[len(self.digits) - 1 - i]
+
+
+_set_base, _set_digits = field_setters(RadixNumeral)
 
 
 def to_radix(m: int, base: int) -> RadixNumeral:

@@ -12,7 +12,7 @@ entries).
 """
 
 from ._backend import kernels
-from ._record import Record, set_field
+from ._record import Record, field_setters
 from .engine import LogValue, _split_exponent, _times_power, log_dyadic
 from .errors import LevelOutOfRangeError, OutOfRangeError
 from .ladder import RootLadder
@@ -31,10 +31,10 @@ class LogTable(Record):
 
     def __init__(self, base: float, level: int, values: tuple[float, ...],
                  built_from: int):
-        set_field(self, "base", base)
-        set_field(self, "level", level)
-        set_field(self, "values", values)
-        set_field(self, "built_from", built_from)
+        _set_base(self, base)
+        _set_level(self, level)
+        _set_values(self, values)
+        _set_built_from(self, built_from)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -89,6 +89,9 @@ class LogTable(Record):
         return "\n".join(lines) + "\n"
 
 
+_set_base, _set_level, _set_values, _set_built_from = field_setters(LogTable)
+
+
 def build_table(ladder: RootLadder, level: int) -> LogTable:
     """Materialize the level-n antilog table from a ladder.
 
@@ -102,9 +105,8 @@ def build_table(ladder: RootLadder, level: int) -> LogTable:
         raise LevelOutOfRangeError(
             f"table level must be in [0, min({MAX_TABLE_LEVEL}, ladder depth "
             f"{ladder.depth})], got {level!r}")
-    return LogTable(base=ladder.base, level=level,
-                    values=kernels.table_values(ladder.rungs, level),
-                    built_from=ladder.depth)
+    return LogTable(ladder.base, level,
+                    kernels.table_values(ladder.rungs, level), ladder.depth)
 
 
 def lookup_antilog(table: LogTable, mantissa: float) -> tuple[float, float]:
@@ -137,14 +139,19 @@ class MultiplyDetail(Record):
     def __init__(self, x1: LogValue, x2: LogValue, log_sum: float,
                  characteristic: int, mantissa: float, table_value: float,
                  grid_error: float, log_error_bound: float):
-        set_field(self, "x1", x1)
-        set_field(self, "x2", x2)
-        set_field(self, "log_sum", log_sum)
-        set_field(self, "characteristic", characteristic)
-        set_field(self, "mantissa", mantissa)
-        set_field(self, "table_value", table_value)
-        set_field(self, "grid_error", grid_error)
-        set_field(self, "log_error_bound", log_error_bound)
+        _set_x1(self, x1)
+        _set_x2(self, x2)
+        _set_log_sum(self, log_sum)
+        _set_characteristic(self, characteristic)
+        _set_mantissa(self, mantissa)
+        _set_table_value(self, table_value)
+        _set_grid_error(self, grid_error)
+        _set_log_error_bound(self, log_error_bound)
+
+
+(_set_x1, _set_x2, _set_log_sum, _set_characteristic, _set_mantissa,
+ _set_table_value, _set_grid_error, _set_log_error_bound) = \
+    field_setters(MultiplyDetail)
 
 
 def multiply_via_logs(y1: float, y2: float, table: LogTable,
@@ -162,8 +169,6 @@ def multiply_via_logs(y1: float, y2: float, table: LogTable,
     c, mantissa = _split_exponent(log_sum, ladder.base)
     value, grid_error = lookup_antilog(table, mantissa)
     estimate = _times_power(value, ladder.base, c)
-    detail = MultiplyDetail(
-        x1=x1, x2=x2, log_sum=log_sum, characteristic=c, mantissa=mantissa,
-        table_value=value, grid_error=grid_error,
-        log_error_bound=x1.error_bound + x2.error_bound + grid_error)
+    detail = MultiplyDetail(x1, x2, log_sum, c, mantissa, value, grid_error,
+                            x1.error_bound + x2.error_bound + grid_error)
     return estimate, detail

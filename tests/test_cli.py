@@ -239,6 +239,17 @@ class TestHarnessBehavior:
     def test_help_exit_0(self, capsys):
         assert main(["--help"]) == 0
 
+    def test_unknown_arguments_reported_by_the_parser_given_them(self, capsys):
+        code, _, err = run(capsys, "log", "2", "--bar")
+        assert code == 2
+        assert err.startswith("usage: logladder log ")
+        assert err.endswith(
+            "logladder log: error: unrecognized arguments: --bar\n")
+        code, _, err = run(capsys, "--bar", "log", "2")
+        assert code == 2
+        assert err.startswith("usage: logladder [-h]")
+        assert err.endswith("logladder: error: unrecognized arguments: --bar\n")
+
     def test_byte_identical_reruns(self, capsys):
         first = run(capsys, "mul", "3157", "24551", "--via-table")
         second = run(capsys, "mul", "3157", "24551", "--via-table")

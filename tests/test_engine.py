@@ -334,12 +334,38 @@ class TestConvertBase:
                      / log3_10.value()) / log3_10.value()
             assert abs(back - x10.value()) <= 4.0 * bound + x10.error_bound
 
+    @staticmethod
+    def _outcome(f, *args):
+        try:
+            return f(*args).hex()
+        except ZeroDivisionError as exc:  # a target base whose log reads 0
+            return type(exc), str(exc)
+
+    @pytest.mark.parametrize("base", [10.0, 2.0, 1.5, 1.000001])
+    def test_bits_of_dividing_by_the_log_of_the_target(self, on_backend,
+                                                        base):
+        ladder = build_ladder(base, 40)
+        rng = random.Random(12)
+        targets = [10.0 ** rng.uniform(0.0, 300.0) for _ in range(300)]
+        # just above 1: the log of the target is a few grid steps, or none
+        targets += [1.0 + 2.0 ** -e for e in range(1, 53)]
+        targets += [math.nextafter(1.0, 2.0), 1e300]
+        for y in (1e-300, 0.001, 0.5, 1.0, 7.25, 12345.678, 1e300):
+            x = log_dyadic(y, ladder)
+            for p in targets:
+                assert self._outcome(convert_base, x, p, ladder) == \
+                    self._outcome(lambda: x.value()
+                                  / log_dyadic(p, ladder).value()), (y, p)
+
     def test_rejects_bad_target(self, ladder10_40):
         lv = log_dyadic(2.0, ladder10_40)
         with pytest.raises(BadBaseError):
             convert_base(lv, 1.0, ladder10_40)
         with pytest.raises(BadBaseError):
             convert_base(lv, 0.5, ladder10_40)
+        # finite as a Decimal, inf as a float: refused as log_dyadic refuses it
+        with pytest.raises(NonPositiveInputError, match="got inf"):
+            convert_base(lv, Decimal("1e400"), ladder10_40)
 
 
 class TestProductLaw:

@@ -103,6 +103,14 @@ class TestDiscoverE:
         with pytest.raises(LevelOutOfRangeError):
             discover_e(9, ladder10_40)
 
+    def test_level_errors_name_the_broken_bound(self, ladder10_40):
+        with pytest.raises(LevelOutOfRangeError) as low:
+            discover_e(4, ladder10_40)
+        assert str(low.value) == "level must be at least 10, got 4"
+        with pytest.raises(LevelOutOfRangeError) as high:
+            discover_e(41, ladder10_40)
+        assert str(high.value) == "level 41 exceeds the ladder depth 40"
+
 
 class TestSlopeLogP:
     def test_base_ten_is_identity(self, ladder10_40):

@@ -13,9 +13,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 import logladder
 from logladder import (
+    MAX_DEPTH,
     DyadicExponent,
     build_ladder,
     build_table,
@@ -25,6 +28,8 @@ from logladder import (
     slope_log10,
     to_radix,
 )
+from logladder._record import Record
+from logladder.errors import CharacteristicOverflowError, NoConvergenceError
 
 
 def _multiply_detail():
@@ -182,3 +187,83 @@ def test_cli_import_loads_no_heavy_modules():
     cli = _modules_after("import logladder.cli")
     assert "logladder.cli" in cli
     assert not {"dataclasses", "inspect", "json"} & (cli - bare)
+
+
+# The library builds its records positionally, and log_dyadic without the
+# public checks; each must equal the record the checked public constructor
+# makes from the same fields, nested records rebuilt the same way.
+
+def _rebuilt(value):
+    if isinstance(value, Record):
+        return type(value)(*[_rebuilt(getattr(value, name))
+                             for name in value.__slots__])
+    return value
+
+
+def _public_twin_matches(record):
+    again = _rebuilt(record)
+    assert again == record
+    assert repr(again) == repr(record)
+    assert hash(again) == hash(record)
+
+
+# Hypothesis keeps one on_backend value across the examples of a test,
+# which is what the fixture is for.
+on_both = settings(suppress_health_check=[HealthCheck.function_scoped_fixture],
+                   deadline=None)
+positive = st.floats(min_value=5e-324, allow_infinity=False)
+bases = st.sampled_from([10.0, 2.0, 1.5, 1e6, 1.000001]) | st.floats(
+    min_value=1.0, max_value=1e300, exclude_min=True)
+depths = st.integers(min_value=0, max_value=MAX_DEPTH)
+
+
+@on_both
+@given(x=positive, guess=st.none() | positive)
+def test_heron_sqrt_builds_the_public_record(on_backend, x, guess):
+    try:
+        trace = heron_sqrt(x, initial_guess=guess)
+    except NoConvergenceError:  # a guess far from the root
+        assume(False)
+    _public_twin_matches(trace)
+
+
+@on_both
+@given(base=bases, depth=depths)
+def test_build_ladder_builds_the_public_record(on_backend, base, depth):
+    _public_twin_matches(build_ladder(base, depth))
+
+
+@on_both
+@given(base=bases, depth=depths, data=st.data())
+def test_build_table_builds_the_public_record(on_backend, base, depth, data):
+    level = data.draw(st.integers(min_value=0, max_value=min(depth, 10)))
+    _public_twin_matches(build_table(build_ladder(base, depth), level))
+
+
+@on_both
+@given(y=positive, base=bases, depth=depths)
+def test_log_dyadic_builds_the_public_record(on_backend, y, base, depth):
+    _public_twin_matches(log_dyadic(y, build_ladder(base, depth)))
+
+
+@on_both
+@given(y1=positive, y2=positive, base=bases,
+       level=st.integers(min_value=0, max_value=10))
+def test_multiply_via_logs_builds_the_public_record(on_backend, y1, y2, base,
+                                                    level):
+    ladder = build_ladder(base, 40)
+    try:
+        _, detail = multiply_via_logs(y1, y2, build_table(ladder, level),
+                                      ladder)
+    except CharacteristicOverflowError:
+        assume(False)
+    _public_twin_matches(detail)
+
+
+# Below about 1e-280 the step x * (rung - 1) can round to 0, and the
+# reading then divides by zero.
+@on_both
+@given(x=st.floats(min_value=1e-280, max_value=1e300), data=st.data())
+def test_slope_log10_builds_the_public_record(on_backend, x, data):
+    n = data.draw(st.integers(min_value=4, max_value=MAX_DEPTH))
+    _public_twin_matches(slope_log10(x, n, build_ladder(10.0, MAX_DEPTH)))
