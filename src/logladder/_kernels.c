@@ -2,8 +2,11 @@
  *
  * Every function performs the same float operations in the same order as
  * its pure-Python twin and returns the same types (the iterate and rung
- * lists are lists, table_values returns a tuple), so the two backends agree
- * bit for bit.  setup.py builds this file with -ffp-contract=off, which
+ * lists are lists), so the two backends agree bit for bit.  table_values
+ * returns its 2^level rows as one bytes object of native binary64, not a
+ * tuple: a table of 65,536 rows is then one allocation instead of 65,536
+ * float objects, and LogTable.values reads it as a read-only float
+ * sequence.  setup.py builds this file with -ffp-contract=off, which
  * forbids fusing a*b+c into one rounding.
  *
  * Arithmetic-only: no math header and no libm call; an absolute value is a
@@ -18,6 +21,8 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <float.h>
+#include <stdint.h>
+#include <string.h>
 
 /* ------------------------------------------------------------- helpers */
 
@@ -88,8 +93,48 @@ done:
     return NULL;
 }
 
-/* Decimal digits of int(x) for x >= 1.  Above 2^64 the count is read from
- * the exact integer's decimal string. */
+/* ten_up[k] is the least double >= 10^k, or 0 until it is first needed.
+ * x >= 10^k exactly when x >= ten_up[k], x being a double.  Each entry is
+ * read off the exact integer 10^k: rounded to the nearest double, then
+ * moved up one ulp (the next bit pattern) if that fell below 10^k. */
+static double ten_up[309];
+
+static int
+ten_up_at(int k, double *v)
+{
+    if (ten_up[k] == 0.0) {
+        PyObject *ten = PyLong_FromLong(10), *n = PyLong_FromLong(k);
+        PyObject *p = (ten && n) ? PyNumber_Power(ten, n, Py_None) : NULL;
+        Py_XDECREF(ten);
+        Py_XDECREF(n);
+        if (p == NULL)
+            return -1;
+        double d = PyLong_AsDouble(p);
+        PyObject *f = PyFloat_FromDouble(d);
+        int below = f ? PyObject_RichCompareBool(f, p, Py_LT) : -1;
+        Py_XDECREF(f);
+        Py_DECREF(p);
+        if (below < 0)
+            return -1;
+        if (below) {
+            uint64_t bits;
+            memcpy(&bits, &d, sizeof bits);
+            bits++;
+            memcpy(&d, &bits, sizeof d);
+        }
+        ten_up[k] = d;
+    }
+    *v = ten_up[k];
+    return 0;
+}
+
+/* Decimal digits of int(x) for x >= 1, as len(str(int(x))).  Below 2^64
+ * they are counted off the integer.  Above it, with 2^e <= x < 2^(e+1),
+ * 10^q <= 2^e for q = (e * 78913) >> 18 (78913 / 2^18 is just below the
+ * decimal digits per bit, and the shift gives the exact floor for e below
+ * 1650), and 2^(e+1) <= 10^(q+2); so x has q + 1 or q + 2 digits and one
+ * comparison with 10^(q+1) decides.  Infinity and nan raise as int(x)
+ * does. */
 static int
 digit_count(double x, int *d)
 {
@@ -99,15 +144,17 @@ digit_count(double x, int *d)
             (*d)++;
         return 0;
     }
-    PyObject *n = PyLong_FromDouble(x);   /* raises for inf and nan */
-    if (n == NULL)
+    if (!(x <= DBL_MAX)) {
+        Py_XDECREF(PyLong_FromDouble(x));
         return -1;
-    PyObject *s = PyObject_Str(n);
-    Py_DECREF(n);
-    if (s == NULL)
+    }
+    uint64_t bits;
+    double top;
+    memcpy(&bits, &x, sizeof bits);
+    int k = ((((int)(bits >> 52) & 0x7ff) - 1023) * 78913 >> 18) + 1;
+    if (ten_up_at(k, &top) < 0)
         return -1;
-    *d = (int)PyUnicode_GET_LENGTH(s);
-    Py_DECREF(s);
+    *d = x >= top ? k + 1 : k;
     return 0;
 }
 
@@ -456,7 +503,9 @@ int_pow(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 /* Row k is row[k & (k - 1)] times rung level - tz(k), tz(k) being the
  * trailing zero bits of k: clearing the lowest set bit drops the last
  * factor of the direct product, so every row keeps its factors, their
- * order and its bits.  The earlier row is read back from the tuple. */
+ * order and its bits.  The rows are written as native doubles straight
+ * into the bytes object that is returned, and the earlier row is read
+ * back from it. */
 static PyObject *
 table_values(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
@@ -483,24 +532,18 @@ table_values(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     }
     Py_DECREF(seq);
     Py_ssize_t n = (Py_ssize_t)1 << level;
-    PyObject *out = PyTuple_New(n);
+    if (n > PY_SSIZE_T_MAX / (Py_ssize_t)sizeof(double))
+        return PyErr_NoMemory();
+    PyObject *out = PyBytes_FromStringAndSize(NULL, n * (Py_ssize_t)sizeof(double));
     if (out == NULL)
         return NULL;
-    for (Py_ssize_t k = 0; k < n; k++) {
-        double v = 1.0;
-        if (k) {
-            int tz = 0;
-            while (!((k >> tz) & 1))
-                tz++;
-            v = PyFloat_AS_DOUBLE(PyTuple_GET_ITEM(out, k & (k - 1)))
-                * ladder[level - tz];
-        }
-        PyObject *item = PyFloat_FromDouble(v);
-        if (item == NULL) {
-            Py_DECREF(out);
-            return NULL;
-        }
-        PyTuple_SET_ITEM(out, k, item);
+    double *row = (double *)PyBytes_AS_STRING(out);
+    row[0] = 1.0;
+    for (Py_ssize_t k = 1; k < n; k++) {
+        int tz = 0;
+        while (!((k >> tz) & 1))
+            tz++;
+        row[k] = row[k & (k - 1)] * ladder[level - tz];
     }
     return out;
 }
@@ -547,7 +590,8 @@ static PyMethodDef kernel_methods[] = {
     KERNEL(mantissa_product, "Product of the rungs selected by the "
                              "numerator's bits."),
     KERNEL(int_pow, "b multiplied by itself m times (square-and-multiply)."),
-    KERNEL(table_values, "Antilog values base^(k/2^level) for every k."),
+    KERNEL(table_values, "Antilog values base^(k/2^level) for every k, "
+                      "packed as native binary64 bytes."),
     KERNEL(trapezoid_recip, "Trapezoid sum of 1/t over [1, x]."),
     {NULL, NULL, 0, NULL},
 };

@@ -241,7 +241,10 @@ def int_pow(b, m):
 
 
 def table_values(rungs, level):
-    """Antilog values base^(k/2^level) for every k in [0, 2^level), as a tuple.
+    """Antilog values base^(k/2^level) for every k in [0, 2^level).
+
+    The rows come back packed as native binary64 bytes, 8 per row, as the
+    compiled twin writes them: one object for the whole table.
 
     Row 0 is 1 and row k is row[k & (k - 1)] * rungs[level - tz(k)], where
     tz(k) counts the trailing zero bits of k.  Clearing the lowest set bit
@@ -252,11 +255,13 @@ def table_values(rungs, level):
     Rows are filled one tz class at a time, largest tz first, so every
     earlier row a class reads is already in place.
     """
+    from struct import pack  # only here, off the import path of the CLI
+
     row = [1.0] * (1 << level)
     for tz in range(level - 1, -1, -1):
         r = rungs[level - tz]
         row[1 << tz::2 << tz] = [v * r for v in row[::2 << tz]]
-    return tuple(row)
+    return pack(f"{len(row)}d", *row)
 
 
 def trapezoid_recip(x, steps):

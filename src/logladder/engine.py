@@ -227,7 +227,9 @@ def convert_base(x: LogValue, new_base: float, ladder_q: RootLadder) -> float:
     log_q(p) is computed on the same ladder, so no base-p ladder is needed.
     The divisor is read from the kernel as c + k * 2^-depth, the value of
     ``log_dyadic(new_base, ladder_q)`` without building that record (k and
-    the power of two are exact, so the sum rounds the same way).
+    the power of two are exact, so the sum rounds the same way).  A target
+    whose log is below the grid step 2^-depth reads 0 there and raises
+    BadBaseError.
     """
     if x.base != ladder_q.base:
         raise BadBaseError(
@@ -240,6 +242,10 @@ def convert_base(x: LogValue, new_base: float, ladder_q: RootLadder) -> float:
         # above and rounds to inf here; log_dyadic refuses it
         log_dyadic(p, ladder_q)
     c, k, _residual = kernels.log_split(p, ladder_q.base, ladder_q.rungs)
+    if not (c or k):
+        raise BadBaseError(
+            f"target base {new_base!r} has a log below the ladder's grid step "
+            f"2^-{ladder_q.depth}, which reads 0")
     return x.value() / (c + k * _GRID[ladder_q.depth])
 
 

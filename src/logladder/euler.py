@@ -62,13 +62,20 @@ def _check_level(n: int, ladder: RootLadder, minimum: int) -> None:
 
 
 def slope_log10(x: float, n: int, ladder10: RootLadder) -> SlopeEstimate:
-    """Slope of log10 at x, read off rung n of the base-10 ladder."""
+    """Slope of log10 at x, read off rung n of the base-10 ladder.
+
+    Raises OutOfRangeError when x is so small that the step
+    x * (rungs[n] - 1) underflows to 0 or the slope over it overflows.
+    """
     x = float(x)
     if not (x > 0.0) or not is_finite(x):
         raise NonPositiveInputError(f"slope point must be > 0, got {x!r}")
     _check_level(n, ladder10, MIN_SLOPE_LEVEL)
     eps = x * rung_epsilon(ladder10, n)
-    slope = (1.0 / (1 << n)) / eps
+    if eps == 0.0 or not is_finite(slope := (1.0 / (1 << n)) / eps):
+        raise OutOfRangeError(
+            f"slope point {x!r} is too small for rung {n}: the step "
+            f"x * (rung - 1) is {eps!r} and the slope over it is not finite")
     return SlopeEstimate(10.0, x, n, eps, slope)
 
 

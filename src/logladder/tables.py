@@ -11,6 +11,8 @@ lookup workflow and for export, so their level is capped at 16 (65,536
 entries).
 """
 
+from collections.abc import Sequence
+
 from ._backend import kernels
 from ._record import Record, field_setters
 from .engine import LogValue, _split_exponent, _times_power, log_dyadic
@@ -20,20 +22,85 @@ from .ladder import RootLadder
 MAX_TABLE_LEVEL = 16
 
 
+class _PackedRow:
+    """Read-only float sequence over rows packed as native binary64 bytes.
+
+    The kernels return a table's rows as one bytes object, so a table of
+    65,536 rows holds one buffer instead of 65,536 float objects.  Rows read
+    back as the same floats a tuple of them would give: by index (negative
+    too), by slice (a tuple) and by iteration.  Equality and the hash go by
+    the bytes, the repr is the tuple's, and a row pickles as its bytes.
+    """
+
+    __slots__ = ("_packed", "_view")
+
+    def __init__(self, packed: bytes):
+        _set_packed(self, packed)
+        _set_view(self, memoryview(packed).cast("d"))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}")
+
+    def __len__(self) -> int:
+        return len(self._view)
+
+    def __getitem__(self, index):
+        if index.__class__ is slice:
+            return tuple(self._view[index].tolist())
+        return self._view[index]
+
+    def __iter__(self):
+        return iter(self._view)
+
+    def __eq__(self, other):
+        if other.__class__ is _PackedRow:
+            return self._packed == other._packed
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._packed)
+
+    def __repr__(self) -> str:
+        return repr(tuple(self._view.tolist()))
+
+    def __reduce__(self):
+        return _PackedRow, (self._packed,)
+
+
+_set_packed, _set_view = field_setters(_PackedRow)
+
+
+def _packed_row(values) -> _PackedRow:
+    """A float sequence as a packed row; a packed row as itself."""
+    if values.__class__ is _PackedRow:
+        return values
+    values = tuple(values)
+    buf = bytearray(8 * len(values))
+    view = memoryview(buf).cast("d")
+    for k, v in enumerate(values):
+        view[k] = v
+    return _PackedRow(bytes(buf))
+
+
 class LogTable(Record):
     """Immutable antilog table: values[k] = base^(k / 2^level).
 
     ``built_from`` records the depth of the ladder the products came from.
-    Values increase strictly with k and all lie in [1, base).
+    Values increase strictly with k and all lie in [1, base).  ``values``
+    is a read-only float sequence over the packed rows; any float sequence
+    given here is packed the same way.
     """
 
     __slots__ = ("base", "level", "values", "built_from")
 
-    def __init__(self, base: float, level: int, values: tuple[float, ...],
+    def __init__(self, base: float, level: int, values: Sequence[float],
                  built_from: int):
         _set_base(self, base)
         _set_level(self, level)
-        _set_values(self, values)
+        _set_values(self, _packed_row(values))
         _set_built_from(self, built_from)
 
     def __len__(self) -> int:
@@ -58,7 +125,7 @@ class LogTable(Record):
         for _ in range(n):
             p *= 5
         lines = ["mantissa_exponent,value"]
-        for k, v in enumerate(self.values):
+        for k, v in enumerate(self.values._view):
             digits = str(k * p).rjust(n + 1, "0")
             point = len(digits) - n
             exponent = (digits[:point] + "." + digits[point:]).rstrip("0")
@@ -76,7 +143,7 @@ class LogTable(Record):
         rows = ",\n".join([
             f'    {{\n      "mantissa_exponent": {k / scale!r},\n'
             f'      "value": {v!r}\n    }}'
-            for k, v in enumerate(self.values)])
+            for k, v in enumerate(self.values._view)])
         return (f'{{\n  "base": {self.base!r},\n  "level": {self.level!r},\n'
                 f'  "built_from": {self.built_from!r},\n'
                 f'  "entries": [\n{rows}\n  ]\n}}\n')
@@ -84,7 +151,7 @@ class LogTable(Record):
     def to_gnuplot(self) -> str:
         """(value, mantissa) pairs: the log curve as plottable data."""
         lines = []
-        for k, v in enumerate(self.values):
+        for k, v in enumerate(self.values._view):
             lines.append(f"{v:.12g} {self.mantissa_of(k):.12g}")
         return "\n".join(lines) + "\n"
 
@@ -106,7 +173,8 @@ def build_table(ladder: RootLadder, level: int) -> LogTable:
             f"table level must be in [0, min({MAX_TABLE_LEVEL}, ladder depth "
             f"{ladder.depth})], got {level!r}")
     return LogTable(ladder.base, level,
-                    kernels.table_values(ladder.rungs, level), ladder.depth)
+                    _PackedRow(kernels.table_values(ladder.rungs, level)),
+                    ladder.depth)
 
 
 def lookup_antilog(table: LogTable, mantissa: float) -> tuple[float, float]:
@@ -122,7 +190,7 @@ def lookup_antilog(table: LogTable, mantissa: float) -> tuple[float, float]:
     k = round(mantissa * (1 << table.level))
     if k == 1 << table.level:  # nearest point is the top of the octave
         return table.base, grid_error
-    return table.values[k], grid_error
+    return table.values._view[k], grid_error
 
 
 class MultiplyDetail(Record):

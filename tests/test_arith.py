@@ -105,6 +105,15 @@ class TestHeronSqrt:
         with pytest.raises(NoConvergenceError):
             heron_sqrt(1747.0, rel_tol=1e-13, max_iterations=2)
 
+    def test_far_off_guess_runs_out_of_steps(self):
+        # each step far above the root only halves the guess: 59 halvings
+        # from 6e17 down to 1 before the digits start doubling
+        with pytest.raises(NoConvergenceError, match="within 64 steps"):
+            heron_sqrt(1.0, initial_guess=6.023197496798377e17)
+        trace = heron_sqrt(1.0, initial_guess=6.023197496798377e17,
+                           max_iterations=80)
+        assert trace.result == 1.0 and trace.steps_used == 65
+
 
 class TestIntPow:
     def test_examples(self):

@@ -1,5 +1,6 @@
 """The compiled and pure-Python kernels must agree bit for bit."""
 
+import math
 import os
 import random
 import struct
@@ -15,8 +16,8 @@ compiled = pytest.importorskip(
     "logladder._kernels",
     reason="compiled kernels not built; run python setup.py build_ext --inplace")
 
-# Edges of binary64 and of the C digit count (exact below 2^64, by the
-# decimal string above it).
+# Edges of binary64 and of the C digit count (counted off the integer
+# below 2^64, from the binary exponent and one power of ten above it).
 EDGES = (5e-324, 2.2250738585072014e-308, 0.5, 1.0, 9.999999999999998, 10.0,
          2.0 ** 63, 2.0 ** 64 - 2048.0, 2.0 ** 64, 1e300,
          1.7976931348623157e308)
@@ -39,11 +40,18 @@ def _agree(name, *args):
     assert _bits(ours) == _bits(theirs), (name, args)
 
 
+def _double(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def _bits_of(x):
+    return struct.unpack("<Q", struct.pack("<d", x))[0]
+
+
 def _anywhere(rng, n):
     """n positive finite doubles, subnormals up to 1.7e308, plus the edges."""
-    top = struct.unpack("<Q", struct.pack("<d", float("inf")))[0]
-    return [struct.unpack("<d", struct.pack("<Q", rng.randrange(1, top)))[0]
-            for _ in range(n)] + list(EDGES)
+    top = _bits_of(float("inf"))
+    return [_double(rng.randrange(1, top)) for _ in range(n)] + list(EDGES)
 
 
 def _rungs(base, depth):
@@ -77,6 +85,25 @@ def test_default_guess_identical():
     # the scaling loop below 0.01 stops, and x <= 0 keeps the guess 1
     for x in (0.01, 0.0099, 1e-36, 0.0, -0.0, -4.0, -5e-324):
         _agree("default_guess", x)
+
+
+def test_default_guess_identical_above_2_to_64():
+    """The compiled digit count above 2^64 is len(str(int(x))) exactly:
+    at every power of ten in range, both its float neighbours, and
+    anywhere between 2^64 and the largest double."""
+    xs = []
+    for j in range(19, 309):
+        v = float(10 ** j)
+        xs += [math.nextafter(v, 0.0), v, math.nextafter(v, math.inf)]
+    rng = random.Random(8)
+    lo, hi = _bits_of(2.0 ** 64), _bits_of(1.7976931348623157e308)
+    xs += [_double(rng.randint(lo, hi)) for _ in range(10_000)]
+    for x in xs:
+        _agree("default_guess", x)
+    for x in (float("inf"), float("nan")):
+        for twin in (compiled, _kernels_py):
+            with pytest.raises((OverflowError, ValueError)):
+                twin.default_guess(x)
 
 
 def test_heron_pairs_identical():
@@ -161,11 +188,13 @@ def test_table_values_identical():
 
 @pytest.mark.parametrize("twin", [compiled, _kernels_py],
                          ids=["compiled", "python"])
-def test_table_values_is_a_tuple(twin):
+def test_table_values_is_packed(twin):
     rungs = _rungs(10.0, 40)
-    for level in (0, 1, 8):
-        assert type(twin.table_values(rungs, level)) is tuple
-    assert twin.table_values(rungs, 0) == (1.0,)
+    for level in (0, 1, 8, 13):
+        packed = twin.table_values(rungs, level)
+        assert type(packed) is bytes
+        assert len(packed) == 8 << level
+    assert struct.unpack("=d", twin.table_values(rungs, 0)) == (1.0,)
 
 
 @pytest.mark.parametrize("twin", [compiled, _kernels_py],

@@ -109,6 +109,8 @@ def _cases():
     add("convert-base", "5", "--to", "3", "--digits", "6")
     add("convert-base", "5", "--to", "1")
     add("convert-base", "5", "--to", "inf")
+    add("convert-base", "7.25", "--to", "1.0000000000001")
+    add("convert-base", "7.25", "--to", "1.0000000000001", "--json")
     add("convert-base", "0", "--to", "2")
     add("convert-base", "5")
 

@@ -335,11 +335,19 @@ class TestConvertBase:
             assert abs(back - x10.value()) <= 4.0 * bound + x10.error_bound
 
     @staticmethod
-    def _outcome(f, *args):
+    def _outcome(x, p, ladder):
         try:
-            return f(*args).hex()
-        except ZeroDivisionError as exc:  # a target base whose log reads 0
-            return type(exc), str(exc)
+            return convert_base(x, p, ladder).hex()
+        except BadBaseError as exc:
+            assert f"grid step 2^-{ladder.depth}" in str(exc)
+            return BadBaseError
+
+    @staticmethod
+    def _expected(x, p, ladder):
+        divisor = log_dyadic(p, ladder).value()
+        if divisor == 0.0:  # a target base whose log reads 0
+            return BadBaseError
+        return (x.value() / divisor).hex()
 
     @pytest.mark.parametrize("base", [10.0, 2.0, 1.5, 1.000001])
     def test_bits_of_dividing_by_the_log_of_the_target(self, on_backend,
@@ -353,9 +361,8 @@ class TestConvertBase:
         for y in (1e-300, 0.001, 0.5, 1.0, 7.25, 12345.678, 1e300):
             x = log_dyadic(y, ladder)
             for p in targets:
-                assert self._outcome(convert_base, x, p, ladder) == \
-                    self._outcome(lambda: x.value()
-                                  / log_dyadic(p, ladder).value()), (y, p)
+                assert self._outcome(x, p, ladder) == \
+                    self._expected(x, p, ladder), (y, p)
 
     def test_rejects_bad_target(self, ladder10_40):
         lv = log_dyadic(2.0, ladder10_40)
@@ -363,6 +370,9 @@ class TestConvertBase:
             convert_base(lv, 1.0, ladder10_40)
         with pytest.raises(BadBaseError):
             convert_base(lv, 0.5, ladder10_40)
+        # above 1, but its log is below the grid step and reads 0
+        with pytest.raises(BadBaseError, match=r"1\.0000000000001 .* 2\^-40"):
+            convert_base(lv, 1.0000000000001, ladder10_40)
         # finite as a Decimal, inf as a float: refused as log_dyadic refuses it
         with pytest.raises(NonPositiveInputError, match="got inf"):
             convert_base(lv, Decimal("1e400"), ladder10_40)

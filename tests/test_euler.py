@@ -57,6 +57,15 @@ class TestSlope:
         with pytest.raises(BadBaseError):
             slope_log10(1.0, 8, build_ladder(3.0, 20))
 
+    def test_refuses_a_step_too_small_to_divide_by(self):
+        ladder = build_ladder(10.0, 48)
+        # the step underflows to 0, or the slope over it overflows
+        for x, n in ((5e-324, 4), (5e-324, 48), (1e-310, 4), (2e-309, 48)):
+            with pytest.raises(OutOfRangeError, match="too small"):
+                slope_log10(x, n, ladder)
+        assert slope_log10(1e-290, 48, ladder).slope * 1e-290 == \
+            pytest.approx(slope_log10(1.0, 48, ladder).slope, rel=1e-12)
+
 
 class TestLimitSequence:
     def test_monotone_increasing_and_bounded(self, ladder10_40):

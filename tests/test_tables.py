@@ -1,11 +1,14 @@
 import json
 import math
+import pickle
 import random
+import struct
 from decimal import Decimal, localcontext
 
 import pytest
 
 from logladder import (
+    LogTable,
     _kernels_py,
     build_ladder,
     build_table,
@@ -42,6 +45,11 @@ def _hex(values):
     return [v.hex() for v in values]
 
 
+def _unpacked(packed):
+    """The floats of a kernel's packed native binary64 rows."""
+    return [v for (v,) in struct.iter_unpack("=d", packed)]
+
+
 class TestBuildTable:
     @pytest.mark.parametrize("base", [1.000001, 1.5, 2.0, 10.0, 1e6, 1e300])
     def test_rows_match_direct_products_bit_for_bit(self, base):
@@ -49,8 +57,8 @@ class TestBuildTable:
         for level in range(17):
             want = _hex(_direct_products(ladder.rungs, level))
             assert _hex(build_table(ladder, level).values) == want, level
-            assert _hex(_kernels_py.table_values(ladder.rungs, level)) == \
-                want, level
+            packed = _kernels_py.table_values(ladder.rungs, level)
+            assert _hex(_unpacked(packed)) == want, level
 
     def test_level3_matches_oracle(self):
         table = build_table(build_ladder(10.0, 8), 3)
@@ -93,6 +101,57 @@ class TestBuildTable:
             build_table(ladder10_40, 17)
         with pytest.raises(LevelOutOfRangeError):
             build_table(build_ladder(10.0, 8), 9)
+
+
+class TestPackedValues:
+    """``LogTable.values`` reads like the tuple of its rows."""
+
+    def test_rows_read_like_a_tuple(self, table13):
+        rows = tuple(table13.values)
+        assert len(rows) == len(table13.values) == 1 << 13
+        assert all(type(v) is float for v in rows)
+        for k in (0, 1, 2, 4095, 8191, -1, -2, -8192):
+            assert table13.values[k] == rows[k]
+        for s in (slice(None), slice(3, 9), slice(-5, None), slice(None, -8190),
+                  slice(None, None, -1), slice(1, 100, 7), slice(9, 3)):
+            assert table13.values[s] == rows[s]
+        for k in (1 << 13, -(1 << 13) - 1):
+            with pytest.raises(IndexError):
+                table13.values[k]
+        assert list(reversed(table13.values)) == list(reversed(rows))
+        assert rows[5] in table13.values
+        assert repr(table13.values) == repr(rows)
+
+    def test_rows_are_read_only(self, table13):
+        before = table13.values[0]
+        with pytest.raises(TypeError):
+            table13.values[0] = 2.0
+        with pytest.raises(TypeError):
+            table13.values[1:3] = (2.0, 3.0)
+        with pytest.raises(TypeError):
+            del table13.values[0]
+        with pytest.raises(AttributeError):
+            table13.values._packed = b""
+        assert table13.values[0] == before == 1.0
+
+    def test_public_constructor_packs_any_float_sequence(self, ladder10_40):
+        table = build_table(ladder10_40, 4)
+        rows = list(table.values)
+        for given in (rows, tuple(rows), iter(rows), table.values):
+            again = LogTable(table.base, table.level, given, table.built_from)
+            assert again == table
+            assert hash(again) == hash(table)
+            assert repr(again) == repr(table)
+        assert LogTable(2.0, 0, [1], 0).values[0] == 1.0
+        other = LogTable(table.base, table.level, rows[:-1] + [9.0],
+                         table.built_from)
+        assert other != table
+
+    def test_pickles_as_its_bytes(self, table13):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(table13.values, protocol))
+            assert back == table13.values
+            assert tuple(back) == tuple(table13.values)
 
 
 class TestLookupAntilog:
