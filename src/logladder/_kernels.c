@@ -128,22 +128,15 @@ ten_up_at(int k, double *v)
     return 0;
 }
 
-/* Decimal digits of int(x) for x >= 1, as len(str(int(x))).  Below 2^64
- * they are counted off the integer.  Above it, with 2^e <= x < 2^(e+1),
- * 10^q <= 2^e for q = (e * 78913) >> 18 (78913 / 2^18 is just below the
- * decimal digits per bit, and the shift gives the exact floor for e below
- * 1650), and 2^(e+1) <= 10^(q+2); so x has q + 1 or q + 2 digits and one
- * comparison with 10^(q+1) decides.  Infinity and nan raise as int(x)
- * does. */
+/* Decimal digits of int(x) for x >= 1, as len(str(int(x))).  With
+ * 2^e <= x < 2^(e+1), 10^q <= 2^e for q = (e * 78913) >> 18 (78913 / 2^18
+ * is just below the decimal digits per bit, and the shift gives the exact
+ * floor for e below 1650), and 2^(e+1) <= 10^(q+2); so x has q + 1 or
+ * q + 2 digits and one comparison with 10^(q+1) decides.  Infinity and nan
+ * raise as int(x) does. */
 static int
 digit_count(double x, int *d)
 {
-    if (x < 18446744073709551616.0) {
-        *d = 0;
-        for (unsigned long long n = (unsigned long long)x; n; n /= 10)
-            (*d)++;
-        return 0;
-    }
     if (!(x <= DBL_MAX)) {
         Py_XDECREF(PyLong_FromDouble(x));
         return -1;

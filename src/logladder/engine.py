@@ -22,7 +22,7 @@ from .errors import (
     LevelOutOfRangeError,
     NonPositiveInputError,
 )
-from .ladder import MAX_DEPTH, RootLadder
+from .ladder import MAX_DEPTH, RootLadder, _check_base
 
 # No whole power base^c with |c| >= 2^62 can scale a value in [1, base) to a
 # finite nonzero float: even the base nearest 1, 1 + 2^-52, has
@@ -220,33 +220,39 @@ def antilog_dyadic(x: "LogValue | float", ladder: RootLadder) -> float:
     return _times_power(v, ladder.base, c)
 
 
+def _base_log(p: float, ladder: RootLadder, role: str) -> float:
+    """log_dyadic(p, ladder).value(), the divisor that rebases a log to p.
+
+    Read as c + k * 2^-depth without building the record (k and the power
+    of two are exact, so the sum rounds the same way).  Raises BadBaseError,
+    naming p by ``role``, unless p is finite and > 1 and its log reads > 0.
+    """
+    _check_base(p, role)
+    q = float(p)
+    if q == _INF:
+        # a Decimal or Fraction beyond the float range passes the check
+        # above and rounds to inf here; log_dyadic refuses it
+        log_dyadic(q, ladder)
+    c, k, _residual = kernels.log_split(q, ladder.base, ladder.rungs)
+    if not (c or k):
+        raise BadBaseError(
+            f"{role} base {p!r} has a log below the ladder's grid step "
+            f"2^-{ladder.depth}, which reads 0")
+    return c + k * _GRID[ladder.depth]
+
+
 def convert_base(x: LogValue, new_base: float, ladder_q: RootLadder) -> float:
     """Rebase a logarithm: log_p(y) = log_q(y) / log_q(p).
 
     ``x`` must have been computed on ``ladder_q``'s base q; the divisor
-    log_q(p) is computed on the same ladder, so no base-p ladder is needed.
-    The divisor is read from the kernel as c + k * 2^-depth, the value of
-    ``log_dyadic(new_base, ladder_q)`` without building that record (k and
-    the power of two are exact, so the sum rounds the same way).  A target
-    whose log is below the grid step 2^-depth reads 0 there and raises
-    BadBaseError.
+    log_q(p) is read on the same ladder, so no base-p ladder is needed.  A
+    target whose log is below the grid step 2^-depth reads 0 there and
+    raises BadBaseError.
     """
     if x.base != ladder_q.base:
         raise BadBaseError(
             f"value is base {x.base!r} but ladder is base {ladder_q.base!r}")
-    if not (new_base > 1.0) or not is_finite(new_base):
-        raise BadBaseError(f"target base must be finite and > 1, got {new_base!r}")
-    p = float(new_base)
-    if p == _INF:
-        # a Decimal or Fraction beyond the float range passes the check
-        # above and rounds to inf here; log_dyadic refuses it
-        log_dyadic(p, ladder_q)
-    c, k, _residual = kernels.log_split(p, ladder_q.base, ladder_q.rungs)
-    if not (c or k):
-        raise BadBaseError(
-            f"target base {new_base!r} has a log below the ladder's grid step "
-            f"2^-{ladder_q.depth}, which reads 0")
-    return x.value() / (c + k * _GRID[ladder_q.depth])
+    return x.value() / _base_log(new_base, ladder_q, "target")
 
 
 def log_product_check(y1: float, y2: float,

@@ -13,7 +13,7 @@ numerically with nothing but arithmetic.
 from ._backend import kernels
 from ._record import Record, field_setters
 from .arith import is_finite
-from .engine import antilog_dyadic, log_dyadic
+from .engine import _base_log, antilog_dyadic
 from .errors import (
     BadBaseError,
     LevelOutOfRangeError,
@@ -108,12 +108,11 @@ def slope_log_p(p: float, x: float, n: int, ladder10: RootLadder) -> float:
     """Slope of log_p at x: the base-10 reading divided by log10(p).
 
     When p is (an estimate of) e the result is 1/x, which is what makes
-    e worth a name.
+    e worth a name.  Raises BadBaseError unless p is finite and > 1 and
+    its log10 reads above 0 on the ladder's grid.
     """
-    if not (p > 1.0) or not is_finite(p):
-        raise BadBaseError(f"slope base must be finite and > 1, got {p!r}")
-    reading = slope_log10(x, n, ladder10)
-    return reading.slope / log_dyadic(p, ladder10).value()
+    divisor = _base_log(p, ladder10, "slope")
+    return slope_log10(x, n, ladder10).slope / divisor
 
 
 def riemann_ln(x: float, steps: int) -> float:

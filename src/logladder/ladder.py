@@ -23,39 +23,41 @@ class RootLadder(Record):
     toward 1.
     """
 
-    __slots__ = ("base", "depth", "rungs", "rel_tol_used")
+    __slots__ = ("base", "depth", "rungs")
 
-    def __init__(self, base: float, depth: int, rungs: tuple[float, ...],
-                 rel_tol_used: float):
+    def __init__(self, base: float, depth: int, rungs: tuple[float, ...]):
         _set_base(self, base)
         _set_depth(self, depth)
         _set_rungs(self, rungs)
-        _set_rel_tol_used(self, rel_tol_used)
 
 
-_set_base, _set_depth, _set_rungs, _set_rel_tol_used = field_setters(RootLadder)
+_set_base, _set_depth, _set_rungs = field_setters(RootLadder)
 
 
-def build_ladder(base: float, depth: int,
-                 rel_tol: float = DEFAULT_REL_TOL) -> RootLadder:
+def _check_base(base: float, role: str) -> None:
+    """The one domain check of a base: BadBaseError unless finite and > 1."""
+    if not (base > 1.0) or not is_finite(base):
+        raise BadBaseError(f"{role} base must be finite and > 1, got {base!r}")
+
+
+def build_ladder(base: float, depth: int) -> RootLadder:
     """Construct the ladder by ``depth`` successive square roots.
 
     Bases must exceed 1 (reciprocal bases are rejected, not remapped) and
     depth must lie in [0, 48].  Construction is deterministic: identical
     arguments give bit-identical rungs.
     """
-    if not (base > 1.0) or not is_finite(base):
-        raise BadBaseError(f"ladder base must be finite and > 1, got {base!r}")
+    _check_base(base, "ladder")
     if not 0 <= depth <= MAX_DEPTH:
         raise DepthOutOfRangeError(
             f"depth must be in [0, {MAX_DEPTH}], got {depth!r}")
-    rungs, ok = kernels.ladder_rungs(float(base), depth, rel_tol,
+    rungs, ok = kernels.ladder_rungs(float(base), depth, DEFAULT_REL_TOL,
                                      DEFAULT_MAX_ITERATIONS)
     if not ok:
-        # unreachable for sane tolerances; surfaced for honesty
+        # DEFAULT_REL_TOL is met well inside the step budget; a miss is raised
         raise DepthOutOfRangeError(
             f"rung {len(rungs)} of base {base!r} failed to converge")
-    return RootLadder(float(base), depth, tuple(rungs), rel_tol)
+    return RootLadder(float(base), depth, tuple(rungs))
 
 
 def rung_epsilon(ladder: RootLadder, j: int) -> float:

@@ -16,7 +16,7 @@ from collections.abc import Sequence
 from ._backend import kernels
 from ._record import Record, field_setters
 from .engine import LogValue, _split_exponent, _times_power, log_dyadic
-from .errors import LevelOutOfRangeError, OutOfRangeError
+from .errors import BadBaseError, LevelOutOfRangeError, OutOfRangeError
 from .ladder import RootLadder
 
 MAX_TABLE_LEVEL = 16
@@ -91,16 +91,24 @@ class LogTable(Record):
     ``built_from`` records the depth of the ladder the products came from.
     Values increase strictly with k and all lie in [1, base).  ``values``
     is a read-only float sequence over the packed rows; any float sequence
-    given here is packed the same way.
+    given here is packed the same way.  Raises LevelOutOfRangeError for a
+    level outside [0, 16] and OutOfRangeError unless there are 2^level rows.
     """
 
     __slots__ = ("base", "level", "values", "built_from")
 
     def __init__(self, base: float, level: int, values: Sequence[float],
                  built_from: int):
+        if not 0 <= level <= MAX_TABLE_LEVEL:
+            raise LevelOutOfRangeError(
+                f"table level must be in [0, {MAX_TABLE_LEVEL}], got {level!r}")
+        values = _packed_row(values)
+        if len(values) != 1 << level:
+            raise OutOfRangeError(f"a level-{level} table has "
+                                  f"{1 << level} rows, got {len(values)}")
         _set_base(self, base)
         _set_level(self, level)
-        _set_values(self, _packed_row(values))
+        _set_values(self, values)
         _set_built_from(self, built_from)
 
     def __len__(self) -> int:
@@ -229,8 +237,11 @@ def multiply_via_logs(y1: float, y2: float, table: LogTable,
     Take both logs on the ladder, add, split the sum into a whole
     characteristic and a [0, 1) mantissa, look the mantissa up in the
     table, and scale by the whole power of the base.  Returns the estimate
-    and the full worked record.
+    and the full worked record.  Table and ladder must share a base.
     """
+    if table.base != ladder.base:
+        raise BadBaseError(
+            f"table is base {table.base!r} but ladder is base {ladder.base!r}")
     x1 = log_dyadic(y1, ladder)
     x2 = log_dyadic(y2, ladder)
     log_sum = x1.value() + x2.value()

@@ -16,8 +16,8 @@ compiled = pytest.importorskip(
     "logladder._kernels",
     reason="compiled kernels not built; run python setup.py build_ext --inplace")
 
-# Edges of binary64 and of the C digit count (counted off the integer
-# below 2^64, from the binary exponent and one power of ten above it).
+# Edges of binary64 and of the C digit count (read off the binary exponent
+# and one power of ten).
 EDGES = (5e-324, 2.2250738585072014e-308, 0.5, 1.0, 9.999999999999998, 10.0,
          2.0 ** 63, 2.0 ** 64 - 2048.0, 2.0 ** 64, 1e300,
          1.7976931348623157e308)
@@ -87,17 +87,19 @@ def test_default_guess_identical():
         _agree("default_guess", x)
 
 
-def test_default_guess_identical_above_2_to_64():
-    """The compiled digit count above 2^64 is len(str(int(x))) exactly:
-    at every power of ten in range, both its float neighbours, and
-    anywhere between 2^64 and the largest double."""
+def test_default_guess_identical_from_1_to_dbl_max():
+    """The compiled digit count is len(str(int(x))) exactly on [1, DBL_MAX]:
+    at every power of ten and of two in range, both float neighbours of
+    each, and anywhere below 2^64 and above it up to the largest double."""
     xs = []
-    for j in range(19, 309):
-        v = float(10 ** j)
+    for v in [float(10 ** j) for j in range(309)] + \
+            [2.0 ** e for e in range(1024)]:
         xs += [math.nextafter(v, 0.0), v, math.nextafter(v, math.inf)]
     rng = random.Random(8)
-    lo, hi = _bits_of(2.0 ** 64), _bits_of(1.7976931348623157e308)
-    xs += [_double(rng.randint(lo, hi)) for _ in range(10_000)]
+    one, two64 = _bits_of(1.0), _bits_of(2.0 ** 64)
+    top = _bits_of(1.7976931348623157e308)
+    xs += [_double(rng.randint(one, two64 - 1)) for _ in range(10_000)]
+    xs += [_double(rng.randint(two64, top)) for _ in range(10_000)]
     for x in xs:
         _agree("default_guess", x)
     for x in (float("inf"), float("nan")):

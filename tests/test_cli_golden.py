@@ -172,6 +172,9 @@ def _cases():
     add("discover-e", "--tangent-at", "3", "--tangent-base", "2", "--json")
     add("discover-e", "--tangent-at", "0")
     add("discover-e", "--tangent-at", "3", "--tangent-base", "1")
+    add("discover-e", "--tangent-at", "2", "--tangent-base", "1.0000000000001")
+    add("discover-e", "--tangent-at", "2", "--tangent-base", "1.0000000000001",
+        "--json")
 
     # area-ln
     for x in ("10", "2", "1", "1e6"):

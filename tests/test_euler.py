@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -139,6 +140,28 @@ class TestSlopeLogP:
     def test_rejects_bad_base(self, ladder10_40):
         with pytest.raises(BadBaseError):
             slope_log_p(1.0, 1.0, 24, ladder10_40)
+        # above 1, but its log10 is below the grid step and reads 0
+        with pytest.raises(BadBaseError, match=(
+                r"^slope base 1\.0000000000001 has a log below the ladder's "
+                r"grid step 2\^-40, which reads 0$")):
+            slope_log_p(1.0000000000001, 2.0, 20, ladder10_40)
+
+    def test_bits_of_dividing_by_the_log_of_the_base(self, on_backend):
+        ladder = build_ladder(10.0, 40)
+        rng = random.Random(13)
+        bases = [10.0 ** rng.uniform(0.0, 300.0) for _ in range(300)]
+        # just above 1: the log of the base is a few grid steps, or none
+        bases += [1.0 + 2.0 ** -e for e in range(1, 53)] + [1e300]
+        for x, n in ((1.0, 24), (2.0, 20), (1e-300, 40), (7.25, 4)):
+            slope = slope_log10(x, n, ladder).slope
+            for p in bases:
+                divisor = log_dyadic(p, ladder).value()
+                if divisor == 0.0:
+                    with pytest.raises(BadBaseError, match="reads 0"):
+                        slope_log_p(p, x, n, ladder)
+                else:
+                    assert slope_log_p(p, x, n, ladder).hex() == \
+                        (slope / divisor).hex(), (p, x, n)
 
 
 class TestRiemannLn:

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from logladder import build_ladder, rung_epsilon
+from logladder.arith import DEFAULT_REL_TOL
 from logladder.errors import (
     BadBaseError,
     DepthOutOfRangeError,
@@ -35,7 +36,7 @@ def test_rungs_strictly_decreasing_above_one(ladder10_40):
 
 
 def test_square_step_consistency(ladder10_40):
-    tol = 8.0 * ladder10_40.rel_tol_used
+    tol = 8.0 * DEFAULT_REL_TOL
     rungs = ladder10_40.rungs
     for j in range(ladder10_40.depth):
         assert abs(rungs[j + 1] * rungs[j + 1] - rungs[j]) / rungs[j] <= tol

@@ -70,9 +70,9 @@ SAMPLES = {
         "epsilon=0.3095639693789165, slope=0.20189688136314707)"),
     "RootLadder": (
         lambda: build_ladder(10.0, 3),
-        ("base", "depth", "rungs", "rel_tol_used"),
+        ("base", "depth", "rungs"),
         "RootLadder(base=10.0, depth=3, rungs=(10.0, 3.162277660168379, "
-        "1.7782794100389228, 1.333521432163324), rel_tol_used=1e-13)"),
+        "1.7782794100389228, 1.333521432163324))"),
     "RadixNumeral": (
         lambda: to_radix(15, 3),
         ("base", "digits"),

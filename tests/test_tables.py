@@ -17,6 +17,7 @@ from logladder import (
     multiply_via_logs,
 )
 from logladder.errors import (
+    BadBaseError,
     CharacteristicOverflowError,
     LevelOutOfRangeError,
     OutOfRangeError,
@@ -147,6 +148,18 @@ class TestPackedValues:
                          table.built_from)
         assert other != table
 
+    def test_public_constructor_refuses_a_wrong_shape(self):
+        # a level outside [0, 16], or a row count other than 2^level, would
+        # otherwise fail (or read a wrong row) only at lookup time
+        for level in (-1, 17):
+            with pytest.raises(LevelOutOfRangeError, match="table level"):
+                LogTable(10.0, level, [1.0], 0)
+        for level, rows in ((3, [1.0]), (1, [1.0, 2.0, 3.0, 4.0]),
+                            (0, [])):
+            with pytest.raises(OutOfRangeError,
+                               match=f"has {1 << level} rows, got {len(rows)}"):
+                LogTable(10.0, level, rows, 0)
+
     def test_pickles_as_its_bytes(self, table13):
         for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
             back = pickle.loads(pickle.dumps(table13.values, protocol))
@@ -223,6 +236,13 @@ class TestMultiplyViaLogs:
             multiply_via_logs(1e-200, 1e-150, table13, ladder10_40)
         with pytest.raises(CharacteristicOverflowError, match="overflows"):
             multiply_via_logs(1e200, 1e150, table13, ladder10_40)
+
+    def test_refuses_a_table_of_another_base(self, ladder10_40):
+        # base-10 logs looked up in a base-2 table would read 1.71 for 2 * 3
+        table2 = build_table(build_ladder(2.0, 10), 8)
+        with pytest.raises(BadBaseError,
+                           match=r"^table is base 2\.0 but ladder is base 10\.0$"):
+            multiply_via_logs(2.0, 3.0, table2, ladder10_40)
 
 
 class TestExports:
