@@ -8,15 +8,24 @@ the convergence.
 
 from ._backend import kernels
 from ._record import Record, field_setters
-from .errors import NoConvergenceError, NonPositiveInputError
+from .errors import NoConvergenceError, NonPositiveInputError, OutOfRangeError
 
 DEFAULT_REL_TOL = 1e-13
 DEFAULT_MAX_ITERATIONS = 64
+_INF = float("inf")
 
 
-def is_finite(v: float) -> bool:
-    """True for ordinary floats; infinities and NaNs fail (v - v != 0)."""
-    return v - v == 0.0
+def _real(v) -> float:
+    """The one reading of a real argument at the public boundary: float(v).
+
+    float() refuses an int or Fraction beyond the float range with
+    OverflowError; that reads as the infinity of its sign, so the caller's
+    one range check (against _INF) refuses it as it refuses inf.
+    """
+    try:
+        return float(v)
+    except OverflowError:
+        return _INF if v > 0 else -_INF
 
 
 class SqrtTrace(Record):
@@ -51,8 +60,12 @@ def default_guess(x: float) -> float:
     For d-digit x >= 1 it is 10^floor(d/2).  Below 1, the guess starts at 1
     and is divided by 10 each time a copy of x, still below 0.01, is
     multiplied by 100; so x in [0.01, 1) gets 1, and subnormals get a guess
-    within an order of magnitude of their root.
+    within an order of magnitude of their root.  Raises NonPositiveInputError
+    for a non-finite x.
     """
+    x = _real(x)
+    if not -_INF < x < _INF:
+        raise NonPositiveInputError(f"guess needs a finite x, got {x!r}")
     return kernels.default_guess(x)
 
 
@@ -68,7 +81,9 @@ def heron_sqrt(x: float,
     when consecutive iterates agree to ``rel_tol`` relative, or coincide
     bit-for-bit (a one-ulp limit cycle is possible in float arithmetic).
 
-    Raises NonPositiveInputError for x <= 0 or non-finite x, and
+    Raises NonPositiveInputError for x <= 0 or non-finite x,
+    OutOfRangeError for an ``initial_guess`` so small that x / guess
+    overflows (the first step would return inf as the root), and
     NoConvergenceError if ``max_iterations`` runs out.  With the default
     guess that signals a pathological tolerance.  It also comes from an
     ``initial_guess`` many orders of magnitude off the root: far from the
@@ -76,26 +91,33 @@ def heron_sqrt(x: float,
     initial_guess=6.023197496798377e17)`` spends 59 of its 64 default steps
     halving before the digits start to double.
     """
-    if not (x > 0.0) or not is_finite(x):
+    x = _real(x)
+    if not 0.0 < x < _INF:
         raise NonPositiveInputError(f"square root needs x > 0, got {x!r}")
-    if not (0.0 < rel_tol < 1.0):
+    rel_tol = _real(rel_tol)
+    if not 0.0 < rel_tol < 1.0:
         raise NonPositiveInputError(f"rel_tol must be in (0, 1), got {rel_tol!r}")
     if max_iterations < 1:
         raise NonPositiveInputError("max_iterations must be at least 1")
     if initial_guess is None:
         initial_guess = kernels.default_guess(x)
-    elif not (initial_guess > 0.0) or not is_finite(initial_guess):
-        raise NonPositiveInputError(
-            f"initial guess must be > 0, got {initial_guess!r}")
+    else:
+        initial_guess = _real(initial_guess)
+        if not 0.0 < initial_guess < _INF:
+            raise NonPositiveInputError(
+                f"initial guess must be > 0, got {initial_guess!r}")
+        if not x / initial_guess < _INF:
+            raise OutOfRangeError(
+                f"initial guess {initial_guess!r} is too small for x = {x!r}: "
+                "x / guess overflows")
 
     pairs, result, converged = kernels.heron_pairs(
-        float(x), float(initial_guess), rel_tol, max_iterations)
+        x, initial_guess, rel_tol, max_iterations)
     if not converged:
         raise NoConvergenceError(
             f"square root of {x!r} did not meet rel_tol={rel_tol!r} "
             f"within {max_iterations} steps")
-    return SqrtTrace(float(x), float(initial_guess), tuple(pairs), result,
-                     True, len(pairs))
+    return SqrtTrace(x, initial_guess, tuple(pairs), result, True, len(pairs))
 
 
 def int_pow(b: float, m: int) -> float:
@@ -106,9 +128,10 @@ def int_pow(b: float, m: int) -> float:
     """
     if m < 0:
         raise NonPositiveInputError(f"exponent must be >= 0, got {m!r}")
-    if not is_finite(b):
+    b = _real(b)
+    if not -_INF < b < _INF:
         raise NonPositiveInputError(f"base must be finite, got {b!r}")
-    r = kernels.int_pow(float(b), m)
-    if not is_finite(r):
+    r = kernels.int_pow(b, m)
+    if not -_INF < r < _INF:
         raise OverflowError(f"int_pow({b!r}, {m}) exceeds the float range")
     return r

@@ -14,15 +14,9 @@ import sys
 
 from . import __version__
 from ._backend import backend_name
-from .arith import heron_sqrt
-from .engine import (
-    _split_exponent,
-    _times_power,
-    antilog_dyadic,
-    convert_base,
-    log_dyadic,
-    log_product_check,
-)
+from .arith import DEFAULT_MAX_ITERATIONS, DEFAULT_REL_TOL, heron_sqrt
+from .engine import (antilog_dyadic, convert_base, log_dyadic,
+                     log_product_check)
 from .errors import LogLadderError
 from .euler import discover_e, limit_sequence, riemann_ln, slope_log10, slope_log_p
 from .fmt import MAX_SIG_DIGITS, MIN_SIG_DIGITS, format_number
@@ -34,7 +28,7 @@ from .radix import (
     from_radix,
     to_radix,
 )
-from .tables import build_table, lookup_antilog, multiply_via_logs
+from .tables import _antilog_by_table, build_table, multiply_via_logs
 
 DEPTH_ENV = "MELTDOWN_LOG_DEPTH"
 
@@ -158,10 +152,8 @@ def _cmd_antilog(args) -> int:
     if args.table_level is None:
         value = antilog_dyadic(args.x, ladder)
         return _result(args, value, {"value": value})
-    table = build_table(ladder, args.table_level)
-    c, mantissa = _split_exponent(args.x, ladder.base)
-    looked, grid_error = lookup_antilog(table, mantissa)
-    value = _times_power(looked, ladder.base, c)
+    value, c, _mantissa, looked, grid_error = _antilog_by_table(
+        build_table(ladder, args.table_level), args.x)
     return _result(args, value, {"value": value, "table_value": looked,
                                  "characteristic": c,
                                  "grid_error": grid_error})
@@ -309,8 +301,8 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sqrt", help="square root by divide-and-average")
     p.add_argument("x", type=_positive_float)
     p.add_argument("--guess", type=_positive_float, default=None)
-    p.add_argument("--rel-tol", type=_positive_float, default=1e-13)
-    p.add_argument("--max-iter", type=int, default=64)
+    p.add_argument("--rel-tol", type=_positive_float, default=DEFAULT_REL_TOL)
+    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITERATIONS)
     p.add_argument("--trace", action="store_true",
                    help="print every iterate, not just the result")
     _add_common(p, depth_flag=False)

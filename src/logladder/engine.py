@@ -14,7 +14,7 @@ named by the exponent's bits.
 
 from ._backend import kernels
 from ._record import Record, field_setters
-from .arith import is_finite
+from .arith import _INF, _real
 from .errors import (
     BadBaseError,
     CharacteristicOverflowError,
@@ -28,7 +28,6 @@ from .ladder import MAX_DEPTH, RootLadder, _check_base
 # finite nonzero float: even the base nearest 1, 1 + 2^-52, has
 # base^(2^62) near e^1024.  Below it c also fits the kernels' C integers.
 _CHARACTERISTIC_LIMIT = 1 << 62
-_INF = float("inf")
 
 
 def _lowest_terms(k: int, n: int) -> tuple[int, int]:
@@ -183,7 +182,7 @@ def log_dyadic(y: float, ladder: RootLadder) -> LogValue:
     powers of the base.  Zero and negative inputs are rejected: their
     logarithms do not exist in the real numbers this library lives in.
     """
-    y = float(y)
+    y = _real(y)
     if not 0.0 < y < _INF:
         raise NonPositiveInputError(
             f"logarithm needs a positive finite number, got {y!r}")
@@ -210,7 +209,7 @@ def antilog_dyadic(x: "LogValue | float", ladder: RootLadder) -> float:
         c, _ = _split_exponent(x.characteristic, ladder.base)
         k, level = m.numerator, m.level
     else:
-        c, rest = _split_exponent(float(x), ladder.base)
+        c, rest = _split_exponent(_real(x), ladder.base)
         k = round(rest * (1 << ladder.depth))
         level = ladder.depth
         if k == 1 << ladder.depth:
@@ -227,13 +226,8 @@ def _base_log(p: float, ladder: RootLadder, role: str) -> float:
     of two are exact, so the sum rounds the same way).  Raises BadBaseError,
     naming p by ``role``, unless p is finite and > 1 and its log reads > 0.
     """
-    _check_base(p, role)
-    q = float(p)
-    if q == _INF:
-        # a Decimal or Fraction beyond the float range passes the check
-        # above and rounds to inf here; log_dyadic refuses it
-        log_dyadic(q, ladder)
-    c, k, _residual = kernels.log_split(q, ladder.base, ladder.rungs)
+    p = _check_base(p, role)
+    c, k, _residual = kernels.log_split(p, ladder.base, ladder.rungs)
     if not (c or k):
         raise BadBaseError(
             f"{role} base {p!r} has a log below the ladder's grid step "
@@ -262,8 +256,8 @@ def log_product_check(y1: float, y2: float,
     The two returns agree to a few grid steps; the gap is the quantization
     of three independent greedy extractions, not a property of the law.
     """
-    y1, y2 = float(y1), float(y2)
-    if not is_finite(y1 * y2):
+    y1, y2 = _real(y1), _real(y2)
+    if not -_INF < y1 * y2 < _INF:
         raise CharacteristicOverflowError(
             f"product {y1!r} * {y2!r} is not finite")
     lhs = log_dyadic(y1 * y2, ladder).value()

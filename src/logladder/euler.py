@@ -12,7 +12,7 @@ numerically with nothing but arithmetic.
 
 from ._backend import kernels
 from ._record import Record, field_setters
-from .arith import is_finite
+from .arith import _INF, _real
 from .engine import _base_log, antilog_dyadic
 from .errors import (
     BadBaseError,
@@ -25,6 +25,10 @@ from .ladder import RootLadder, rung_epsilon
 # Below n = 4 the rung is nowhere near 1 and the "slope" reads nothing.
 MIN_SLOPE_LEVEL = 4
 MIN_E_LEVEL = 10
+# The cap on trapezoid panels bounds the run time.  For x = 2, 10 and 100
+# the error bound (truncation plus the rounding of the sum) is smallest at
+# 2^16, 2^19 and 2^22 panels and grows past that.
+_MAX_AREA_STEPS = 1 << 24
 
 
 class SlopeEstimate(Record):
@@ -67,12 +71,12 @@ def slope_log10(x: float, n: int, ladder10: RootLadder) -> SlopeEstimate:
     Raises OutOfRangeError when x is so small that the step
     x * (rungs[n] - 1) underflows to 0 or the slope over it overflows.
     """
-    x = float(x)
-    if not (x > 0.0) or not is_finite(x):
+    x = _real(x)
+    if not 0.0 < x < _INF:
         raise NonPositiveInputError(f"slope point must be > 0, got {x!r}")
     _check_level(n, ladder10, MIN_SLOPE_LEVEL)
     eps = x * rung_epsilon(ladder10, n)
-    if eps == 0.0 or not is_finite(slope := (1.0 / (1 << n)) / eps):
+    if eps == 0.0 or not (slope := (1.0 / (1 << n)) / eps) < _INF:
         raise OutOfRangeError(
             f"slope point {x!r} is too small for rung {n}: the step "
             f"x * (rung - 1) is {eps!r} and the slope over it is not finite")
@@ -109,21 +113,34 @@ def slope_log_p(p: float, x: float, n: int, ladder10: RootLadder) -> float:
 
     When p is (an estimate of) e the result is 1/x, which is what makes
     e worth a name.  Raises BadBaseError unless p is finite and > 1 and
-    its log10 reads above 0 on the ladder's grid.
+    its log10 reads above 0 on the ladder's grid, and OutOfRangeError when
+    x is too small for rung n: either slope_log10 refuses it, or its
+    slope divided by log10(p) is not finite.
     """
     divisor = _base_log(p, ladder10, "slope")
-    return slope_log10(x, n, ladder10).slope / divisor
+    reading = slope_log10(x, n, ladder10)
+    if not (slope := reading.slope / divisor) < _INF:
+        raise OutOfRangeError(
+            f"slope point {reading.x!r} is too small for rung {n}: the slope "
+            f"there is {reading.slope!r} and divided by log10(p) = "
+            f"{divisor!r} it is not finite")
+    return slope
 
 
 def riemann_ln(x: float, steps: int) -> float:
     """Area under 1/t from 1 to x by the trapezoid rule.
 
     Converges to ln(x) as steps^-2; only +, -, *, / are used.  Defined
-    here for x >= 1 only.
+    here for finite x >= 1 only.  Raises OutOfRangeError outside that, and
+    for steps outside [16, 2^24], which keeps the run time bounded; for x
+    up to 100 the error bound is smallest below 2^23 steps.
     """
-    x = float(x)
-    if not is_finite(x) or x < 1.0:
+    x = _real(x)
+    if not 1.0 <= x < _INF:
         raise OutOfRangeError(f"area is defined for x >= 1, got {x!r}")
     if steps < 16:
         raise OutOfRangeError(f"need at least 16 steps, got {steps!r}")
+    if steps > _MAX_AREA_STEPS:
+        raise OutOfRangeError(
+            f"need at most {_MAX_AREA_STEPS} steps, got {steps!r}")
     return kernels.trapezoid_recip(x, steps)

@@ -5,6 +5,7 @@ Rendering uses 0-9 then A-Z, so base 16 looks like ordinary hex.
 """
 
 from ._record import Record, field_setters
+from .arith import _real
 from .errors import BadRadixError, DigitOutOfRangeError, OutOfRangeError
 
 MIN_BASE = 2
@@ -112,17 +113,17 @@ def fractional_digits(x: float, base: int, count: int) -> tuple[int, ...]:
     (7, 9)
     """
     _check_base(base)
+    x = _real(x)
     if not 0.0 <= x < 1.0:
         raise OutOfRangeError(f"fractional part must lie in [0, 1), got {x!r}")
     if not 1 <= count <= 32:
         raise OutOfRangeError(f"digit count must be in [1, 32], got {count!r}")
     digits = []
-    r = float(x)
     for _ in range(count):
-        r *= base
-        d = int(r)
-        if d == base:  # r reached the base exactly after float roundoff
+        x *= base
+        d = int(x)
+        if d == base:  # x reached the base exactly after float roundoff
             d = base - 1
         digits.append(d)
-        r -= d
+        x -= d
     return tuple(digits)

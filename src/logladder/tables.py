@@ -15,6 +15,7 @@ from collections.abc import Sequence
 
 from ._backend import kernels
 from ._record import Record, field_setters
+from .arith import _real
 from .engine import LogValue, _split_exponent, _times_power, log_dyadic
 from .errors import BadBaseError, LevelOutOfRangeError, OutOfRangeError
 from .ladder import RootLadder
@@ -192,6 +193,7 @@ def lookup_antilog(table: LogTable, mantissa: float) -> tuple[float, float]:
     2^-(level+1), in log units, and is the honest price of pure lookup.
     Ties round toward the even grid index.
     """
+    mantissa = _real(mantissa)
     if not 0.0 <= mantissa < 1.0:
         raise OutOfRangeError(f"mantissa must lie in [0, 1), got {mantissa!r}")
     grid_error = 1.0 / (1 << (table.level + 1))
@@ -199,6 +201,18 @@ def lookup_antilog(table: LogTable, mantissa: float) -> tuple[float, float]:
     if k == 1 << table.level:  # nearest point is the top of the octave
         return table.base, grid_error
     return table.values._view[k], grid_error
+
+
+def _antilog_by_table(table: LogTable,
+                      x: float) -> tuple[float, int, float, float, float]:
+    """base^x by lookup: (estimate, characteristic, mantissa, row, grid error).
+
+    Split x into a whole characteristic c and a [0, 1) mantissa, look the
+    mantissa up in the table, and scale the row by base^c.
+    """
+    c, mantissa = _split_exponent(x, table.base)
+    row, grid_error = lookup_antilog(table, mantissa)
+    return _times_power(row, table.base, c), c, mantissa, row, grid_error
 
 
 class MultiplyDetail(Record):
@@ -245,9 +259,8 @@ def multiply_via_logs(y1: float, y2: float, table: LogTable,
     x1 = log_dyadic(y1, ladder)
     x2 = log_dyadic(y2, ladder)
     log_sum = x1.value() + x2.value()
-    c, mantissa = _split_exponent(log_sum, ladder.base)
-    value, grid_error = lookup_antilog(table, mantissa)
-    estimate = _times_power(value, ladder.base, c)
+    estimate, c, mantissa, value, grid_error = _antilog_by_table(table,
+                                                                 log_sum)
     detail = MultiplyDetail(x1, x2, log_sum, c, mantissa, value, grid_error,
                             x1.error_bound + x2.error_bound + grid_error)
     return estimate, detail

@@ -1,11 +1,18 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from logladder import default_guess, heron_sqrt, int_pow
-from logladder.errors import NoConvergenceError, NonPositiveInputError
+from logladder.errors import (
+    LogLadderError,
+    NoConvergenceError,
+    NonPositiveInputError,
+    OutOfRangeError,
+)
+
+positive = st.floats(min_value=5e-324, allow_infinity=False)
 
 
 class TestHeronSqrt:
@@ -113,6 +120,28 @@ class TestHeronSqrt:
         trace = heron_sqrt(1.0, initial_guess=6.023197496798377e17,
                            max_iterations=80)
         assert trace.result == 1.0 and trace.steps_used == 65
+
+    def test_guess_so_small_that_the_first_quotient_overflows(self):
+        with pytest.raises(OutOfRangeError, match=(
+                r"^initial guess 1e-320 is too small for x = 4\.0: "
+                r"x / guess overflows$")):
+            heron_sqrt(4.0, initial_guess=1e-320)
+        # the quotient just below the top of the float range still runs
+        trace = heron_sqrt(1.0, initial_guess=1.0 / 1.7e308,
+                           max_iterations=1100)
+        assert trace.result == 1.0
+
+    # Hypothesis keeps one on_backend value across the examples of a test.
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture],
+              deadline=None)
+    @given(x=positive, guess=positive)
+    def test_any_finite_guess_gives_a_finite_root_or_an_error(
+            self, on_backend, x, guess):
+        try:
+            result = heron_sqrt(x, initial_guess=guess).result
+        except LogLadderError:
+            return
+        assert 0.0 < result < math.inf
 
 
 class TestIntPow:

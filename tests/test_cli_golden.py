@@ -50,6 +50,9 @@ def _cases():
     add("sqrt", "1747", "--guess", "40", "--json")
     add("sqrt", "2", "--trace", "--digits", "17")
     add("sqrt", "2", "--max-iter", "2")
+    # a guess so small that x / guess overflows on the first step
+    add("sqrt", "4", "--guess", "1e-320")
+    add("sqrt", "4", "--guess", "1e-320", "--json")
     for bad in ("-1", "0", "nan", "inf"):
         add("sqrt", "--", bad)
     add("sqrt")
@@ -175,6 +178,10 @@ def _cases():
     add("discover-e", "--tangent-at", "2", "--tangent-base", "1.0000000000001")
     add("discover-e", "--tangent-at", "2", "--tangent-base", "1.0000000000001",
         "--json")
+    # the slope is finite, but not once divided by the small log10 of the base
+    for fmt in ((), ("--json",)):
+        add("discover-e", "--tangent-at", "1e-300", "--tangent-base",
+            "1.0000000001", "--level", "40", *fmt)
 
     # area-ln
     for x in ("10", "2", "1", "1e6"):
@@ -183,6 +190,7 @@ def _cases():
     add("area-ln", "10", "--steps", "16", "--digits", "8")
     add("area-ln", "0.5")
     add("area-ln", "10", "--steps", "0")
+    add("area-ln", "2", "--steps", "4611686018427387904")
 
     # the depth environment variable
     for value in ("20", " 30 ", "0", "48", "99", "-1", "many", ""):

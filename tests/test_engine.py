@@ -373,8 +373,8 @@ class TestConvertBase:
         # above 1, but its log is below the grid step and reads 0
         with pytest.raises(BadBaseError, match=r"1\.0000000000001 .* 2\^-40"):
             convert_base(lv, 1.0000000000001, ladder10_40)
-        # finite as a Decimal, inf as a float: refused as log_dyadic refuses it
-        with pytest.raises(NonPositiveInputError, match="got inf"):
+        # finite as a Decimal, inf as a float: refused as a base
+        with pytest.raises(BadBaseError, match="got inf"):
             convert_base(lv, Decimal("1e400"), ladder10_40)
 
 

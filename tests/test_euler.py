@@ -146,6 +146,14 @@ class TestSlopeLogP:
                 r"grid step 2\^-40, which reads 0$")):
             slope_log_p(1.0000000000001, 2.0, 20, ladder10_40)
 
+    def test_refuses_a_slope_that_overflows_over_the_log_of_the_base(
+            self, ladder10_40):
+        # log10 of the base is 4.3e-11 and the base-10 slope 4.3e299
+        with pytest.raises(OutOfRangeError, match=(
+                r"^slope point 1e-300 is too small for rung 40: .* "
+                r"divided by log10\(p\) = .* it is not finite$")):
+            slope_log_p(1.0000000001, 1e-300, 40, ladder10_40)
+
     def test_bits_of_dividing_by_the_log_of_the_base(self, on_backend):
         ladder = build_ladder(10.0, 40)
         rng = random.Random(13)
@@ -158,6 +166,9 @@ class TestSlopeLogP:
                 divisor = log_dyadic(p, ladder).value()
                 if divisor == 0.0:
                     with pytest.raises(BadBaseError, match="reads 0"):
+                        slope_log_p(p, x, n, ladder)
+                elif slope / divisor == math.inf:
+                    with pytest.raises(OutOfRangeError, match="not finite"):
                         slope_log_p(p, x, n, ladder)
                 else:
                     assert slope_log_p(p, x, n, ladder).hex() == \
@@ -199,6 +210,13 @@ class TestRiemannLn:
             riemann_ln(0.5, 4096)
         with pytest.raises(OutOfRangeError):
             riemann_ln(2.0, 8)
+
+    def test_refuses_more_than_2_to_24_steps(self):
+        for steps in ((1 << 24) + 1, 1 << 62):
+            with pytest.raises(OutOfRangeError,
+                               match=f"^need at most 16777216 steps, "
+                                     f"got {steps}$"):
+                riemann_ln(2.0, steps)
 
 
 def test_antilog_of_t20_equals_discover_e(ladder10_40):

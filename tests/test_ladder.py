@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from logladder import build_ladder, rung_epsilon
+from logladder import RootLadder, build_ladder, log_dyadic, rung_epsilon
 from logladder.arith import DEFAULT_REL_TOL
 from logladder.errors import (
     BadBaseError,
@@ -102,3 +102,19 @@ def test_rejects_bad_arguments():
         build_ladder(10.0, -1)
     with pytest.raises(IndexOutOfRangeError):
         rung_epsilon(build_ladder(10.0, 4), 5)
+
+
+def test_public_constructor_refuses_a_wrong_shape():
+    rungs = build_ladder(10.0, 2).rungs
+    # one rung too many: the walk would read a mantissa of 1/1
+    with pytest.raises(DepthOutOfRangeError,
+                       match=r"^a depth-1 ladder has 2 rungs, got 3$"):
+        RootLadder(10.0, 1, rungs)
+    with pytest.raises(DepthOutOfRangeError, match="has 4 rungs, got 1"):
+        RootLadder(10.0, 3, (10.0,))
+    for depth in (-1, 49):
+        with pytest.raises(DepthOutOfRangeError, match="must be in"):
+            RootLadder(10.0, depth, (10.0,))
+    ladder = RootLadder(10.0, 2, rungs)
+    assert ladder == build_ladder(10.0, 2)
+    assert log_dyadic(5.0, ladder) == log_dyadic(5.0, build_ladder(10.0, 2))
